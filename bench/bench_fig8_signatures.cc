@@ -110,9 +110,9 @@ LatencyStats LatencyTrace(const OffloadConfig& off, int warmup, int samples,
   out.mean_normal = mean(normal);
   out.mean_spike = mean(spikes);
   out.ratio = out.mean_normal > 0 ? out.mean_spike / out.mean_normal : 0;
-  const auto& ops = h->node("n0")->crypto_ops();
-  out.signs = ops.signs;
-  out.signs_deferred = ops.signs_deferred;
+  const observe::Registry& m = h->node("n0")->metrics();
+  out.signs = m.ScalarValue("crypto.signs");
+  out.signs_deferred = m.ScalarValue("crypto.signs_deferred");
 
   std::printf("  samples: %zu\n", out.samples);
   std::printf("  p50 response time:        %8.1f us\n", out.p50);

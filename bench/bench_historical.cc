@@ -101,7 +101,7 @@ int RunAll(const std::string& json_path, bool smoke) {
     return 1;
   }
   uint64_t range_entries = upto - lo + 1;
-  uint64_t verified = n0->historical_counters().entries_verified;
+  uint64_t verified = n0->metrics().ScalarValue("historical.entries_verified");
   if (verified < range_entries) {
     std::fprintf(stderr, "ERROR: only %llu of %llu entries verified\n",
                  static_cast<unsigned long long>(verified),

@@ -47,6 +47,18 @@ def fmt_delta(old, new):
     return f"{pct:+6.1f}%"
 
 
+def summarize(regressions, threshold):
+    """Prints the regression summary; returns the exit code."""
+    if regressions:
+        print(f"\n{len(regressions)} metric(s) regressed beyond "
+              f"{threshold:.0f}%:")
+        for r in regressions:
+            print(f"  - {r}")
+        return 1
+    print("\nno regressions beyond threshold")
+    return 0
+
+
 def key_of(row):
     return (row.get("worker_threads"), row.get("worker_async"),
             row.get("interval"))
@@ -100,14 +112,7 @@ def main():
                     continue
                 check(f"{section} {metric}", old_s.get(metric),
                       new_s.get(metric), lower_is_better)
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     # BENCH_snapshots.json (bench_snapshots): per-mode row lists keyed by
     # ledger length.
@@ -130,14 +135,7 @@ def main():
                 check(f"{label} entries_replayed",
                       prev.get("entries_replayed"),
                       row.get("entries_replayed"), lower_is_better=True)
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     # BENCH_observe.json (bench_observe): flat sections of scalars.
     if "hotpath" in old or "hotpath" in new:
@@ -157,14 +155,7 @@ def main():
                     continue
                 check(f"{section} {metric}", old_s.get(metric),
                       new_s.get(metric), lower_is_better)
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     # BENCH_net.json (bench_net): closed-loop live-cluster rows keyed by
     # (connections, pipeline). Throughput is higher-is-better; latency
@@ -186,14 +177,7 @@ def main():
                   row.get("p50_us"), lower_is_better=True)
             check(f"{label} p99_us", prev.get("p99_us"),
                   row.get("p99_us"), lower_is_better=True)
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     # BENCH_smallbank.json (bench_smallbank): rows keyed by
     # (exec_threads, skew). Throughput is higher-is-better; the conflict
@@ -218,14 +202,7 @@ def main():
                     print(f"  {label + ' ' + rate + ' (info)':<44} "
                           f"{old_r if old_r is not None else float('nan'):>12.3f} "
                           f"{new_r if new_r is not None else float('nan'):>12.3f}")
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     # BENCH_exec.json (bench_table5_modes exec-worker sweep): rows keyed
     # by exec_threads. Throughputs are higher-is-better; the conflict rate
@@ -250,14 +227,7 @@ def main():
                 print(f"  {label + ' conflict_rate (info)':<44} "
                       f"{old_cr if old_cr is not None else float('nan'):>12.3f} "
                       f"{new_cr if new_cr is not None else float('nan'):>12.3f}")
-        if regressions:
-            print(f"\n{len(regressions)} metric(s) regressed beyond "
-                  f"{args.threshold:.0f}%:")
-            for r in regressions:
-                print(f"  - {r}")
-            return 1
-        print("\nno regressions beyond threshold")
-        return 0
+        return summarize(regressions, args.threshold)
 
     print(f"{'latency (us; lower is better)':<46} {'old':>12} {'new':>12}")
     old_lat = {key_of(r): r for r in old.get("latency", [])}
@@ -296,14 +266,7 @@ def main():
         check("speedup", old_a.get("speedup", 0),
               new_a.get("speedup", 0), lower_is_better=False)
 
-    if regressions:
-        print(f"\n{len(regressions)} metric(s) regressed beyond "
-              f"{args.threshold:.0f}%:")
-        for r in regressions:
-            print(f"  - {r}")
-        return 1
-    print("\nno regressions beyond threshold")
-    return 0
+    return summarize(regressions, args.threshold)
 
 
 if __name__ == "__main__":

@@ -1,103 +1,56 @@
 // LiveClient: the live-mode counterpart of node::Client — a user or
 // member client speaking STLS-over-TCP to a live node's RPC port.
 //
-// Single-threaded and poll-driven: the owning thread calls Connect once
-// (dial + handshake, blocking up to a timeout), then either the blocking
-// conveniences (Call/Get/PostJson/PostJsonSigned) or the pipelined pair
-// SendRequest + PollOnce, which is what the closed-loop bench harness
-// drives. Requests pipeline freely; responses are matched to callbacks in
-// FIFO order, exactly as in the simulator client.
-//
-// Each TCP frame body is the byte string a simulated Environment::Send
-// would carry (0x01 session-record prefix + STLS record), so the enclave
-// cannot tell the two drivers apart.
+// A node::ClientCore whose byte pipe is one framed TCP socket (a frame
+// body is what a simulated Environment::Send would carry, so the enclave
+// cannot tell the two drivers apart) and whose wait loop is poll. It is
+// single-threaded: the owning thread calls Connect, then either the
+// blocking conveniences or the pipelined pair SendRequest + PollOnce,
+// which is what the closed-loop bench harness drives.
 
 #ifndef CCF_HOST_LIVE_CLIENT_H_
 #define CCF_HOST_LIVE_CLIENT_H_
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "crypto/cert.h"
-#include "crypto/hmac.h"
-#include "http/http.h"
-#include "json/json.h"
-#include "rpc/session.h"
+#include "node/client_core.h"
 
 namespace ccf::host {
 
-class LiveClient {
+class LiveClient : public node::ClientCore {
  public:
   // `key`/`cert` may be null/empty for anonymous clients.
   LiveClient(std::string client_id, crypto::PublicKeyBytes service_identity,
              const crypto::KeyPair* key = nullptr,
              std::optional<crypto::Certificate> cert = std::nullopt);
+  // Closes the connection, failing pending callbacks.
   ~LiveClient();
-
-  LiveClient(const LiveClient&) = delete;
-  LiveClient& operator=(const LiveClient&) = delete;
 
   // Dials host:port and completes the STLS handshake (or fails by
   // `timeout_ms`). Reconnecting fails outstanding callbacks first.
   Status Connect(const std::string& host, uint16_t port,
                  uint64_t timeout_ms = 5000);
-  bool connected() const { return fd_ >= 0 && session_ != nullptr; }
+  bool connected() const { return fd_ >= 0 && established(); }
   void Close();
-
-  using ResponseCallback = std::function<void(Result<http::Response>)>;
-
-  // Pipelines a request; the callback fires from a later PollOnce/Call.
-  void SendRequest(http::Request request, ResponseCallback callback);
 
   // Processes socket IO for up to `timeout_ms` (one poll round) and
   // dispatches any completed responses. Returns false once the connection
   // is closed (all pending callbacks have been failed).
   bool PollOnce(int timeout_ms);
 
-  // Blocking conveniences, mirroring node::Client.
-  Result<http::Response> Call(http::Request request,
-                              uint64_t timeout_ms = 5000);
-  Result<http::Response> Get(const std::string& path,
-                             uint64_t timeout_ms = 5000);
-  Result<http::Response> PostJson(const std::string& path,
-                                  const json::Value& body,
-                                  uint64_t timeout_ms = 5000);
-  // Signs the body with the client key (governance requests).
-  Result<http::Response> PostJsonSigned(const std::string& path,
-                                        const json::Value& body,
-                                        uint64_t timeout_ms = 5000);
-
-  static std::optional<std::pair<uint64_t, uint64_t>> TxIdOf(
-      const http::Response& response);
-
-  uint64_t responses_received() const { return responses_received_; }
-  size_t pending() const { return pending_.size(); }
-
  private:
-  void SendWire(ByteSpan session_payload);  // frame + buffer + try write
-  void FlushQueue();
-  bool HandleFrame(ByteSpan frame);
+  // One poll round; false when the connection must close.
+  bool PumpSocket(int timeout_ms);
   bool TryWrite();
-  void FailPending(const Status& why);
+  // Polls until `done()` holds, the connection closes, or the timeout.
+  Status PollUntil(const std::function<bool()>& done, uint64_t timeout_ms);
 
-  std::string client_id_;
-  crypto::PublicKeyBytes service_identity_;
-  const crypto::KeyPair* key_;
-  std::optional<crypto::Certificate> cert_;
-  crypto::Drbg drbg_;
-
+  crypto::Drbg drbg_;  // used only once a session starts
   int fd_ = -1;
-  std::unique_ptr<rpc::ClientSession> session_;
-  http::ResponseParser parser_;
   Bytes inbuf_;
   Bytes outbuf_;
   size_t out_off_ = 0;
-  std::deque<Bytes> queued_requests_;  // serialized, awaiting handshake
-  std::deque<ResponseCallback> pending_;
-  uint64_t responses_received_ = 0;
 };
 
 }  // namespace ccf::host

@@ -1,28 +1,19 @@
-// A user (or consortium member) client in the simulation.
-//
-// Connects to any CCF node over STLS (pinning the service identity, paper
-// §6.1), speaks HTTP/1.1 inside the session, and surfaces responses with
-// their transaction IDs. Members sign governance request bodies with their
-// certificate key (the COSE-Sign1 analogue).
+// A user (or consortium member) client in the simulation: a ClientCore
+// (node/client_core.h) whose byte pipe is the simulated network and whose
+// wait loop runs the simulation.
 
 #ifndef CCF_NODE_CLIENT_H_
 #define CCF_NODE_CLIENT_H_
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "crypto/cert.h"
-#include "http/http.h"
-#include "json/json.h"
-#include "rpc/session.h"
+#include "node/client_core.h"
 #include "sim/environment.h"
 
 namespace ccf::node {
 
-class Client {
+class Client : public ClientCore {
  public:
   // `key`/`cert` may be null/empty for anonymous clients.
   Client(std::string client_id, sim::Environment* env,
@@ -31,54 +22,16 @@ class Client {
          std::optional<crypto::Certificate> cert = std::nullopt);
   ~Client();
 
-  // Opens (or re-opens) a session to `node_id`.
+  // Opens (or re-opens) a session to `node_id`; requests of an earlier
+  // session fail. Blocking calls run the simulation until they complete.
   void Connect(const std::string& node_id);
-  const std::string& connected_node() const { return node_id_; }
-  bool connected() const { return session_ != nullptr && session_->established(); }
-
-  using ResponseCallback = std::function<void(Result<http::Response>)>;
-
-  // Fire-and-forget: responses arrive via callback as the simulation runs.
-  void SendRequest(http::Request request, ResponseCallback callback);
-
-  // Convenience: drives the environment until the response arrives (or
-  // timeout). Handshake is performed on demand.
-  Result<http::Response> Call(http::Request request,
-                              uint64_t timeout_ms = 5000);
-  Result<http::Response> Get(const std::string& path,
-                             uint64_t timeout_ms = 5000);
-  Result<http::Response> PostJson(const std::string& path,
-                                  const json::Value& body,
-                                  uint64_t timeout_ms = 5000);
-  // Signs the body with the client key (governance requests).
-  Result<http::Response> PostJsonSigned(const std::string& path,
-                                        const json::Value& body,
-                                        uint64_t timeout_ms = 5000);
-
-  // Parses the transaction ID header of a response ("view.seqno").
-  static std::optional<std::pair<uint64_t, uint64_t>> TxIdOf(
-      const http::Response& response);
-
-  // Statistics for benchmarks.
-  uint64_t responses_received() const { return responses_received_; }
+  bool connected() const { return established(); }
 
  private:
-  void OnNetMessage(const std::string& from, ByteSpan data);
-  void FlushQueue();
-
   std::string client_id_;
   sim::Environment* env_;
-  crypto::PublicKeyBytes service_identity_;
-  const crypto::KeyPair* key_;
-  std::optional<crypto::Certificate> cert_;
-  crypto::Drbg drbg_;
-
   std::string node_id_;
-  std::unique_ptr<rpc::ClientSession> session_;
-  http::ResponseParser parser_;
-  std::deque<Bytes> queued_requests_;  // serialized, awaiting handshake
-  std::deque<ResponseCallback> pending_;
-  uint64_t responses_received_ = 0;
+  crypto::Drbg drbg_;  // used only once a session starts
 };
 
 }  // namespace ccf::node

@@ -10,6 +10,7 @@
 #include "gov/constitution.h"
 #include "kv/tables.h"
 #include "kv/writeset.h"
+#include "node/wire.h"
 #include "tee/attestation.h"
 #include "tee/messages.h"
 
@@ -19,20 +20,6 @@ namespace tables = kv::tables;
 
 namespace {
 
-// First byte of every simulation payload addressed to a node host.
-enum WireKind : uint8_t {
-  kSessionRecord = 1,
-  kNodeChannel = 2,
-};
-
-// Inner types on node-to-node channels.
-enum ChannelType : uint8_t {
-  kConsensus = 1,
-  kForwardRequest = 2,
-  kForwardResponse = 3,
-  kSnapshotCatchUp = 4,
-};
-
 // Ring-buffer message types live in tee/messages.h (shared with tests).
 using tee::kCloseSession;
 using tee::kInboundNet;
@@ -41,13 +28,6 @@ using tee::kLedgerFetchResponse;
 using tee::kOutboundNet;
 using tee::kSessionClosed;
 using tee::kSnapshotWrite;
-
-Bytes WrapWire(WireKind kind, ByteSpan payload) {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(kind));
-  Append(&out, payload);
-  return out;
-}
 
 crypto::Sha256Digest PublicAadDigest(ByteSpan public_ws) {
   return crypto::Sha256::Hash(public_ws);
@@ -134,33 +114,6 @@ void Node::BindNodeMetrics() {
   exec_metrics_.retries = metrics_.GetCounter("exec.retries");
   exec_metrics_.aborts = metrics_.GetCounter("exec.aborts");
   exec_metrics_.batch_size = metrics_.GetHistogram("exec.batch_size");
-  exec_metrics_.flush_drain = metrics_.GetCounter("exec.flush.drain");
-  exec_metrics_.flush_size = metrics_.GetCounter("exec.flush.size");
-  exec_metrics_.flush_deadline = metrics_.GetCounter("exec.flush.deadline");
-}
-
-Node::CryptoOpCounters Node::crypto_ops() const {
-  CryptoOpCounters c;
-  c.signs = crypto_metrics_.signs->value();
-  c.signs_deferred = crypto_metrics_.signs_deferred->value();
-  c.verifies_single = crypto_metrics_.verifies_single->value();
-  c.verifies_batched = crypto_metrics_.verifies_batched->value();
-  c.verify_batches = crypto_metrics_.verify_batches->value();
-  c.verify_failures = crypto_metrics_.verify_failures->value();
-  return c;
-}
-
-Node::HistoricalCounters Node::historical_counters() const {
-  HistoricalCounters h;
-  h.host_fetch_requests = historical_metrics_.host_fetch_requests->value();
-  h.host_fetch_responses = historical_metrics_.host_fetch_responses->value();
-  h.host_fetch_drops = historical_metrics_.host_fetch_drops->value();
-  h.host_fetch_corrupts = historical_metrics_.host_fetch_corrupts->value();
-  h.host_fetch_delays = historical_metrics_.host_fetch_delays->value();
-  h.host_fetch_reorders = historical_metrics_.host_fetch_reorders->value();
-  h.entries_verified = historical_metrics_.entries_verified->value();
-  h.entries_rejected = historical_metrics_.entries_rejected->value();
-  return h;
 }
 
 Node::~Node() {
@@ -435,35 +388,9 @@ void Node::DrainEnclaveInbox() {
     if (!data.ok()) continue;
     EnclaveProcess(*from, *data);
   }
-  // Flush-policy decision point: with the thresholds disabled the batch
-  // must never outlive the inbox drain that accumulated it (bit-identical
-  // sim replay); with a size/deadline policy it may ride across drains.
-  MaybeFlushExecBatch();
-}
-
-void Node::MaybeFlushExecBatch() {
-  if (exec_batch_.empty()) return;
-  const bool deferred =
-      config_.exec_batch_max > 0 || config_.exec_batch_deadline_ms > 0;
-  if (!deferred) {
-    exec_metrics_.flush_drain->Inc();
-    FlushExecBatch();
-    return;
-  }
-  if (config_.exec_batch_max > 0 &&
-      exec_batch_.size() >= config_.exec_batch_max) {
-    exec_metrics_.flush_size->Inc();
-    FlushExecBatch();
-    return;
-  }
-  // A size-only policy still flushes a partial batch after one tick so a
-  // lull in arrivals cannot strand requests.
-  const uint64_t deadline =
-      std::max<uint64_t>(config_.exec_batch_deadline_ms, 1);
-  if (now_ms_ >= exec_batch_opened_ms_ + deadline) {
-    exec_metrics_.flush_deadline->Inc();
-    FlushExecBatch();
-  }
+  // The batch never outlives the inbox drain that accumulated it
+  // (bit-identical sim replay).
+  FlushExecBatch();
 }
 
 void Node::EnclaveProcess(const std::string& from, ByteSpan data) {
@@ -472,7 +399,13 @@ void Node::EnclaveProcess(const std::string& from, ByteSpan data) {
   ByteSpan payload = data.subspan(1);
   switch (kind) {
     case kSessionRecord:
-      HandleSessionRecord(from, payload);
+      // A joining node is the STLS *client* towards its target.
+      if (join_client_ != nullptr && from == join_target_) {
+        join_client_->OnWire(data);
+        if (has_joined()) join_client_.reset();
+      } else {
+        HandleSessionRecord(from, payload);
+      }
       break;
     case kNodeChannel:
       HandleChannelMessage(from, payload);

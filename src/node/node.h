@@ -41,6 +41,7 @@
 #include "merkle/merkle.h"
 #include "merkle/receipt.h"
 #include "node/app.h"
+#include "node/client_core.h"
 #include "node/config.h"
 #include "node/historical.h"
 #include "node/indexing.h"
@@ -122,32 +123,6 @@ class Node : public consensus::RaftCallbacks {
   // crypto/historical counters; exposed via GET /node/metrics).
   observe::Registry& metrics() { return metrics_; }
   const observe::Registry& metrics() const { return metrics_; }
-
-  // Crypto op telemetry (also surfaced via GET /node/crypto_ops). Merkle
-  // hashing counters live in tree().stats(). The values live in the
-  // metrics registry; this is a point-in-time snapshot of them.
-  struct CryptoOpCounters {
-    uint64_t signs = 0;            // signature transactions signed
-    uint64_t signs_deferred = 0;   // of which went through the worker pool
-    uint64_t verifies_single = 0;  // signature txs verified one-by-one
-    uint64_t verifies_batched = 0; // signature txs verified via VerifyBatch
-    uint64_t verify_batches = 0;   // VerifyBatch invocations
-    uint64_t verify_failures = 0;  // signatures that failed verification
-  };
-  CryptoOpCounters crypto_ops() const;
-  // Host-fetch / historical-query telemetry (GET /node/historical);
-  // registry-backed snapshot, like crypto_ops().
-  struct HistoricalCounters {
-    uint64_t host_fetch_requests = 0;   // fetch requests the host served
-    uint64_t host_fetch_responses = 0;  // responses delivered to the enclave
-    uint64_t host_fetch_drops = 0;      // responses dropped by fault policy
-    uint64_t host_fetch_corrupts = 0;   // responses bit-flipped
-    uint64_t host_fetch_delays = 0;     // responses given extra delay
-    uint64_t host_fetch_reorders = 0;   // responses swapped in the queue
-    uint64_t entries_verified = 0;      // fetched entries passing verification
-    uint64_t entries_rejected = 0;      // fetched entries failing verification
-  };
-  HistoricalCounters historical_counters() const;
 
   // Node-to-node channel AEAD state (tests / operator). A channel rekeys
   // (fail closed: fresh HKDF epoch, counter reset) before its per-epoch
@@ -335,6 +310,10 @@ class Node : public consensus::RaftCallbacks {
                                      const http::Request& request,
                                      const rpc::CallerIdentity& caller,
                                      kv::Tx* tx);
+  // Bounded OCC retries: a transaction that keeps losing read-set
+  // validation is re-executed serially at most this many times before the
+  // request fails with 409.
+  static constexpr size_t kExecMaxRetries = 4;
   // Serial commit point for one batched item: validate/commit its
   // phase-A transaction, re-executing serially with bounded retries on
   // conflict (paper §6.4: logic may run multiple times, its transaction
@@ -343,14 +322,10 @@ class Node : public consensus::RaftCallbacks {
                                    http::Response resp);
   // Executes the pending batch: every item gets a transaction off the
   // same store head, handlers run on exec_pool_, then a serial commit
-  // point validates and responds in submission order.
+  // point validates and responds in submission order. Runs at the end of
+  // every inbox drain and before anything that could commit, forward, or
+  // respond.
   void FlushExecBatch();
-  // Flush-policy decision point at the end of every inbox drain: with the
-  // thresholds disabled (default) flushes unconditionally (the historical
-  // behaviour); otherwise flushes only once the batch reaches
-  // exec_batch_max items or its oldest item has aged past
-  // exec_batch_deadline_ms.
-  void MaybeFlushExecBatch();
   Result<rpc::CallerIdentity> Authenticate(
       const std::optional<crypto::Certificate>& session_cert);
   Status CheckAuthPolicy(rpc::AuthPolicy policy,
@@ -406,7 +381,7 @@ class Node : public consensus::RaftCallbacks {
   // ------------------------------------------------ built-in logic
 
   void HandleJoinRequest(rpc::EndpointContext* ctx);
-  void HandleJoinResponseRecord(ByteSpan record);
+  void HandleJoinResponse(Result<http::Response> resp);
   Status InstallJoinResponse(const json::Value& body);
   void HandleRecoveryShareSubmission(rpc::EndpointContext* ctx);
   void CompleteRecovery(kv::LedgerSecret secret);
@@ -509,12 +484,10 @@ class Node : public consensus::RaftCallbacks {
   uint64_t next_correlation_ = 1;
   std::map<uint64_t, std::string> pending_forwards_;
 
-  // Joining state.
-  bool join_pending_ = false;
+  // Joining state: the STLS client towards the join target, whose pipe
+  // is this node's own outbox. Null once the node has joined.
   std::string join_target_;
-  std::unique_ptr<rpc::ClientSession> join_session_;
-  http::ResponseParser join_parser_;
-  bool join_request_sent_ = false;
+  std::unique_ptr<ClientCore> join_client_;
 
   // Recovery state.
   bool recovery_pending_ = false;
@@ -563,8 +536,7 @@ class Node : public consensus::RaftCallbacks {
   // deterministic runs replay identical combiners.
   crypto::Drbg verify_drbg_;
 
-  // Registry-backed counters (bound once in BindNodeMetrics; the structs
-  // mirror the snapshot types above).
+  // Registry-backed counters, bound once in BindNodeMetrics.
   struct CryptoOpMetrics {
     observe::Counter* signs = nullptr;
     observe::Counter* signs_deferred = nullptr;
@@ -605,19 +577,11 @@ class Node : public consensus::RaftCallbacks {
     observe::Counter* retries = nullptr;
     observe::Counter* aborts = nullptr;
     observe::Histogram* batch_size = nullptr;
-    // Flush-policy trigger counters (exec.flush.*): inbox-drain (policy
-    // disabled), size threshold, deadline expiry.
-    observe::Counter* flush_drain = nullptr;
-    observe::Counter* flush_size = nullptr;
-    observe::Counter* flush_deadline = nullptr;
   };
   ExecMetrics exec_metrics_;
 
   // Pending optimistic-execution batch (DESIGN.md §12).
   std::vector<ExecBatchItem> exec_batch_;
-  // now_ms_ when the oldest item of the current batch was enqueued
-  // (deadline flush policy; meaningless while the batch is empty).
-  uint64_t exec_batch_opened_ms_ = 0;
 
   // Snapshot catch-up offers already sent: peer -> offered bundle seqno
   // (re-offered only once a newer bundle exists).

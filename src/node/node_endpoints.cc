@@ -11,6 +11,7 @@
 #include "gov/proposals.h"
 #include "kv/tables.h"
 #include "node/node.h"
+#include "node/wire.h"
 #include "rpc/openapi.h"
 #include "script/interp.h"
 #include "tee/attestation.h"
@@ -20,25 +21,6 @@ namespace ccf::node {
 namespace tables = kv::tables;
 
 namespace {
-
-enum WireKind : uint8_t {
-  kSessionRecord = 1,
-  kNodeChannel = 2,
-};
-
-enum ChannelType : uint8_t {
-  kConsensus = 1,
-  kForwardRequest = 2,
-  kForwardResponse = 3,
-  kSnapshotCatchUp = 4,  // handled in node.cc; listed to keep enums in sync
-};
-
-Bytes WrapWire(WireKind kind, ByteSpan payload) {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(kind));
-  Append(&out, payload);
-  return out;
-}
 
 // Verifies the detached governance request signature (COSE-Sign1 analogue):
 // x-ccf-signature header = hex signature over SHA-256 of the body, under
@@ -68,12 +50,6 @@ Status VerifyGovSignature(const http::Request& request,
 // --------------------------------------------------------------- sessions
 
 void Node::HandleSessionRecord(const std::string& peer, ByteSpan record) {
-  // A joining node acts as the STLS *client* towards its target.
-  if (join_pending_ && peer == join_target_) {
-    HandleJoinResponseRecord(record);
-    return;
-  }
-
   auto it = sessions_.find(peer);
   bool is_hello = !record.empty() && record[0] == 1;  // kClientHello
   if (it == sessions_.end() || is_hello) {
@@ -281,17 +257,8 @@ void Node::DispatchRequest(const std::string& session_peer,
     // batch path itself is scheduling-independent (the pool's synchronous
     // mode runs jobs inline in the same order a blocking drain retires
     // them), so exec_threads 0 and N produce bit-identical runs.
-    if (exec_batch_.empty()) exec_batch_opened_ms_ = now_ms_;
     exec_batch_.push_back(
         ExecBatchItem{session_peer, request, *caller, std::move(re)});
-    // The size threshold fires as soon as it is met -- even mid-drain --
-    // so memory stays bounded and batches form at exactly exec_batch_max
-    // under sustained load (a no-op with the policy disabled).
-    if (config_.exec_batch_max > 0 &&
-        exec_batch_.size() >= config_.exec_batch_max) {
-      exec_metrics_.flush_size->Inc();
-      FlushExecBatch();
-    }
     return;
   }
   FlushExecBatch();
@@ -431,7 +398,7 @@ http::Response Node::ExecuteRequestInner(const http::Request& request,
   }
 
   // Optimistic execution with re-execution on conflict (paper §6.4).
-  const size_t attempts = config_.exec_max_retries + 1;
+  const size_t attempts = kExecMaxRetries + 1;
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
     kv::Tx tx = store_.BeginTx();
     http::Response resp = ExecuteOnTx(re, request, caller, &tx);
@@ -689,7 +656,7 @@ http::Response Node::CommitBatchedItem(const ExecBatchItem& item, kv::Tx* tx,
       break;
     }
     if (reexecs == 0) exec_metrics_.conflicts->Inc();
-    if (reexecs >= config_.exec_max_retries) {
+    if (reexecs >= kExecMaxRetries) {
       exec_metrics_.aborts->Inc();
       resp = rpc::ErrorResponse(409, "Conflict", "transaction conflict");
       break;
@@ -743,24 +710,24 @@ void Node::InstallFrameworkEndpoints() {
        },
        AuthPolicy::kNoAuth, /*read_only=*/true});
 
-  // Crypto op telemetry. Thin alias over the metrics registry (the
-  // generic endpoint is GET /node/metrics); keeps the original flat keys.
+  // Crypto op telemetry: the registry's crypto counters (also at GET
+  // /node/metrics) next to Merkle and worker-pool figures it does not hold.
   registry_.Install(
       "GET", "/node/crypto_ops",
       {[this](EndpointContext* ctx) {
          const merkle::MerkleTree::Stats& ts = tree_.stats();
-         CryptoOpCounters ops = crypto_ops();
+         const CryptoOpMetrics& ops = crypto_metrics_;
          json::Object out;
          out["merkle_leaf_hashes"] = ts.leaf_hashes;
          out["merkle_interior_hashes"] = ts.interior_hashes;
          out["merkle_batched_leaves"] = ts.batched_leaves;
          out["merkle_x4_groups"] = ts.x4_groups;
-         out["signs"] = ops.signs;
-         out["signs_deferred"] = ops.signs_deferred;
-         out["verifies_single"] = ops.verifies_single;
-         out["verifies_batched"] = ops.verifies_batched;
-         out["verify_batches"] = ops.verify_batches;
-         out["verify_failures"] = ops.verify_failures;
+         out["signs"] = ops.signs->value();
+         out["signs_deferred"] = ops.signs_deferred->value();
+         out["verifies_single"] = ops.verifies_single->value();
+         out["verifies_batched"] = ops.verifies_batched->value();
+         out["verify_batches"] = ops.verify_batches->value();
+         out["verify_failures"] = ops.verify_failures->value();
          out["worker_threads"] = static_cast<uint64_t>(
              worker_pool_.worker_count());
          out["worker_jobs_submitted"] = worker_pool_.submitted();
@@ -923,7 +890,7 @@ void Node::InstallFrameworkEndpoints() {
       {[this](EndpointContext* ctx) {
          const historical::StateCache::Stats& cs = historical_->stats();
          const indexing::Indexer::Stats& is = indexer_.stats();
-         HistoricalCounters hc = historical_counters();
+         const HistoricalMetrics& hc = historical_metrics_;
          json::Object out;
          out["cache_requests"] = cs.requests;
          out["cache_hits"] = cs.hits;
@@ -945,14 +912,14 @@ void Node::InstallFrameworkEndpoints() {
          out["index_max_fed_per_tick"] = is.max_fed_per_tick;
          out["index_decode_failures"] = is.decode_failures;
          out["receiptable_upto"] = ReceiptableUpto();
-         out["host_fetch_requests"] = hc.host_fetch_requests;
-         out["host_fetch_responses"] = hc.host_fetch_responses;
-         out["host_fetch_drops"] = hc.host_fetch_drops;
-         out["host_fetch_corrupts"] = hc.host_fetch_corrupts;
-         out["host_fetch_delays"] = hc.host_fetch_delays;
-         out["host_fetch_reorders"] = hc.host_fetch_reorders;
-         out["entries_verified"] = hc.entries_verified;
-         out["entries_rejected"] = hc.entries_rejected;
+         out["host_fetch_requests"] = hc.host_fetch_requests->value();
+         out["host_fetch_responses"] = hc.host_fetch_responses->value();
+         out["host_fetch_drops"] = hc.host_fetch_drops->value();
+         out["host_fetch_corrupts"] = hc.host_fetch_corrupts->value();
+         out["host_fetch_delays"] = hc.host_fetch_delays->value();
+         out["host_fetch_reorders"] = hc.host_fetch_reorders->value();
+         out["entries_verified"] = hc.entries_verified->value();
+         out["entries_rejected"] = hc.entries_rejected->value();
          ctx->SetJsonResponse(200, json::Value(std::move(out)));
        },
        AuthPolicy::kNoAuth, /*read_only=*/true});
@@ -1187,54 +1154,43 @@ void Node::HandleJoinRequest(rpc::EndpointContext* ctx) {
 }
 
 void Node::StartJoin(const std::string& target_node) {
-  join_pending_ = true;
   join_target_ = target_node;
-  join_session_ = std::make_unique<rpc::ClientSession>(
-      service_identity_, nullptr, std::nullopt, &drbg_);
-  EnclaveSendNet(target_node,
-                 WrapWire(kSessionRecord, join_session_->Start()));
+  join_client_ = std::make_unique<ClientCore>(
+      service_identity_, nullptr, std::nullopt, &drbg_,
+      [this](Bytes wire) { EnclaveSendNet(join_target_, wire); });
+  join_client_->StartSession();
+  // The join request carries our quote; it goes out once the handshake
+  // completes.
+  tee::Quote quote = tee::Platform::Global().GenerateQuote(
+      config_.code_id, tee::ReportDataForNodeKey(node_key_.public_key()));
+  json::Object body;
+  body["node_id"] = config_.node_id;
+  body["host"] = config_.host;
+  body["want_snapshot"] = config_.join_from_snapshot;
+  body["quote"] = HexEncode(quote.Serialize());
+  body["public_key"] = HexEncode(
+      ByteSpan(node_key_.public_key().data(), crypto::kPublicKeySize));
+  http::Request req;
+  req.method = "POST";
+  req.path = "/node/join";
+  req.body = ToBytes(json::Value(std::move(body)).Dump());
+  join_client_->SendRequest(std::move(req), [this](Result<http::Response> r) {
+    HandleJoinResponse(std::move(r));
+  });
 }
 
-void Node::HandleJoinResponseRecord(ByteSpan record) {
-  auto out = join_session_->OnRecord(record);
-  if (!out.ok()) {
+void Node::HandleJoinResponse(Result<http::Response> resp) {
+  if (!resp.ok()) {
     LOG_ERROR << config_.node_id << " join session failed: "
-              << out.status().ToString();
+              << resp.status().ToString();
     return;
   }
-  if (out->established && !join_request_sent_) {
-    join_request_sent_ = true;
-    // Send the join request with our quote.
-    tee::Quote quote = tee::Platform::Global().GenerateQuote(
-        config_.code_id, tee::ReportDataForNodeKey(node_key_.public_key()));
-    json::Object body;
-    body["node_id"] = config_.node_id;
-    body["host"] = config_.host;
-    body["want_snapshot"] = config_.join_from_snapshot;
-    body["quote"] = HexEncode(quote.Serialize());
-    body["public_key"] = HexEncode(
-        ByteSpan(node_key_.public_key().data(), crypto::kPublicKeySize));
-    http::Request req;
-    req.method = "POST";
-    req.path = "/node/join";
-    req.body = ToBytes(json::Value(std::move(body)).Dump());
-    auto sealed = join_session_->Seal(req.Serialize());
-    if (sealed.ok()) {
-      EnclaveSendNet(join_target_, WrapWire(kSessionRecord, *sealed));
-    }
-    return;
-  }
-  for (const Bytes& data : out->app_data) {
-    join_parser_.Feed(data);
-  }
-  auto resp = join_parser_.Next();
-  if (!resp.ok() || !resp->has_value()) return;
-  if ((*resp)->status != 200) {
+  if (resp->status != 200) {
     LOG_ERROR << config_.node_id << " join rejected: "
-              << ToString((*resp)->body);
+              << ToString(resp->body);
     return;
   }
-  auto body = json::Parse(ToString((*resp)->body));
+  auto body = json::Parse(ToString(resp->body));
   if (!body.ok()) return;
   Status installed = InstallJoinResponse(*body);
   if (!installed.ok()) {
@@ -1305,8 +1261,6 @@ Status Node::InstallJoinResponse(const json::Value& body) {
         config_.node_id, config_.raft, bundle.view, bundle.seqno,
         bundle.configs, this));
     raft_->BindMetrics(&metrics_);
-    join_pending_ = false;
-    join_session_.reset();
     LOG_INFO << config_.node_id << " joined from verified snapshot at "
              << bundle.seqno;
     return Status::Ok();
@@ -1360,8 +1314,6 @@ Status Node::InstallJoinResponse(const json::Value& body) {
   raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
       config_.node_id, config_.raft, snap.view, snap.seqno, configs, this));
   raft_->BindMetrics(&metrics_);
-  join_pending_ = false;
-  join_session_.reset();
   LOG_INFO << config_.node_id << " joined at snapshot " << snap.seqno;
   return Status::Ok();
 }

@@ -162,9 +162,9 @@ ChaosResult RunHistoricalChaos(uint64_t seed) {
   }
   // Fault injection actually exercised the path (over all rounds some
   // fault fired, except for pathological all-zero draws).
-  const auto& hc = n0->historical_counters();
-  trace << "fetches:" << hc.host_fetch_requests
-        << ";verified:" << hc.entries_verified;
+  const observe::Registry& m = n0->metrics();
+  trace << "fetches:" << m.ScalarValue("historical.host_fetch_requests")
+        << ";verified:" << m.ScalarValue("historical.entries_verified");
   out.trace = trace.str();
   return out;
 }

@@ -100,5 +100,34 @@ TEST(HostLiveSmoke, ThreeNodeWriteReadKillRecover) {
   ASSERT_NE(h.JoinAndTrust("n3", 15000, final_primary), nullptr);
 }
 
+// Writing to a connection whose node died must fail the requests, not
+// raise SIGPIPE (which would kill the whole process).
+TEST(HostLiveSmoke, SendsToAKilledNodeFailWithoutSigpipe) {
+  LiveServiceHarness h;
+  TestUser* alice = h.AddUser("alice");
+  host::LiveNodeHost* n0 = h.StartGenesis();
+  ASSERT_NE(n0, nullptr);
+  crypto::PublicKeyBytes identity =
+      n0->WithNode([](node::Node* n) { return n->service_identity(); });
+  host::LiveClient client("sigpipe-probe", identity, &alice->key,
+                          alice->cert);
+  ASSERT_TRUE(client.Connect("127.0.0.1", n0->rpc_port()).ok());
+  h.Kill("n0");
+
+  int failed = 0;
+  for (int i = 0; i < 3; ++i) {
+    http::Request req;
+    req.method = "GET";
+    req.path = "/app/log?id=" + std::to_string(i);
+    client.SendRequest(std::move(req), [&](Result<http::Response> r) {
+      if (!r.ok()) ++failed;
+    });
+  }
+  for (int i = 0; i < 100 && client.PollOnce(10); ++i) {
+  }
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(failed, 3);
+}
+
 }  // namespace
 }  // namespace ccf::testing

@@ -1,8 +1,7 @@
 // Live-mode service harness: builds real multi-node CCF services over
-// loopback TCP (LiveNodeHost + LiveClient), mirroring the simulator's
-// ServiceHarness API where it makes sense. Reuses the deterministic
-// consortium/user identities so governance flows are identical under both
-// drivers.
+// loopback TCP (LiveNodeHost + LiveClient) on the consortium bring-up it
+// shares with the simulator's ServiceHarness (tests/service_harness.h),
+// so governance flows are identical under both drivers.
 //
 // Everything here runs on wall-clock time: waits are real sleeps with
 // deadlines, sized for the FastNodeConfig timeouts (elections 50-100ms).
@@ -15,11 +14,9 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "host/live_client.h"
 #include "host/live_node.h"
-#include "apps/logging.h"
 #include "tests/service_harness.h"
 
 namespace ccf::testing {
@@ -34,82 +31,35 @@ inline bool LiveWaitFor(const std::function<bool()>& pred,
   return pred();
 }
 
-class LiveServiceHarness {
+class LiveServiceHarness
+    : public ConsortiumHarness<LiveServiceHarness, host::LiveClient> {
  public:
+  static constexpr uint64_t kGovTimeoutMs = 10000;
+
   explicit LiveServiceHarness(int num_members = 3)
-      : consortium_(num_members) {}
-  ~LiveServiceHarness() {
-    clients_.clear();  // close client sockets before the nodes go away
-    hosts_.clear();
-  }
-
-  Consortium& consortium() { return consortium_; }
-
-  void SetConfigTweak(std::function<void(node::NodeConfig*)> tweak) {
-    config_tweak_ = std::move(tweak);
-  }
-
-  // Adds a user before genesis.
-  TestUser* AddUser(const std::string& id) {
-    users_[id] = std::make_unique<TestUser>(id);
-    return users_[id].get();
-  }
+      : ConsortiumHarness(num_members) {}
+  // Close client sockets before the nodes go away.
+  ~LiveServiceHarness() { DropClients(); }
 
   // Starts n0 with the logging app and waits for it to become primary.
   host::LiveNodeHost* StartGenesis(bool open_immediately = true) {
-    node::ServiceInit init;
-    init.members = consortium_.Identities();
-    init.open_immediately = open_immediately;
-    for (auto& [id, user] : users_) {
-      init.initial_users.emplace_back(id, user->cert.Serialize());
-    }
     host::LiveNodeConfig cfg;
-    cfg.node = FastNodeConfig("n0");
-    if (config_tweak_) config_tweak_(&cfg.node);
-    auto started =
-        host::LiveNodeHost::StartGenesis(std::move(cfg), init, &logging_app_);
+    cfg.node = ConfigFor("n0", /*joiner=*/false);
+    auto started = host::LiveNodeHost::StartGenesis(
+        std::move(cfg), GenesisInit(open_immediately), &logging_app_);
     if (!started.ok()) return nullptr;
     host::LiveNodeHost* ptr = started->get();
     hosts_["n0"] = std::move(*started);
     service_identity_ = ptr->WithNode(
         [](node::Node* n) { return n->service_identity(); });
-    if (!LiveWaitFor([ptr] {
-          return ptr->WithNode([](node::Node* n) { return n->IsPrimary(); });
-        })) {
-      return nullptr;
-    }
-    return ptr;
+    return PrimaryId() == "n0" ? ptr : nullptr;
   }
 
-  // Governance requests are submitted through member clients connected to
-  // this node (writes forward to the primary). Point it at a live node
-  // after killing n0.
-  void SetGovNode(const std::string& id) { gov_node_ = id; }
-
-  // Starts `id` as a joiner peered with every running node, waits for the
-  // join handshake, then drives governance to trust it.
-  host::LiveNodeHost* JoinAndTrust(const std::string& id,
-                                   uint64_t timeout_ms = 10000,
-                                   const std::string& target = "n0") {
-    host::LiveNodeHost* joiner = Join(id, target);
-    if (joiner == nullptr) return nullptr;
-    if (!LiveWaitFor(
-            [joiner] {
-              return joiner->WithNode(
-                  [](node::Node* n) { return n->has_joined(); });
-            },
-            timeout_ms)) {
-      return nullptr;
-    }
-    if (!TrustNode(id, timeout_ms)) return nullptr;
-    return joiner;
-  }
-
+  // Starts `id` as a joiner peered with every running node.
   host::LiveNodeHost* Join(const std::string& id,
                            const std::string& target = "n0") {
     host::LiveNodeConfig cfg;
-    cfg.node = FastNodeConfig(id, std::hash<std::string>{}(id) % 1000);
-    if (config_tweak_) config_tweak_(&cfg.node);
+    cfg.node = ConfigFor(id, /*joiner=*/true);
     for (auto& [nid, h] : hosts_) {
       cfg.transport.peers[nid] =
           "127.0.0.1:" + std::to_string(h->node_port());
@@ -127,83 +77,9 @@ class LiveServiceHarness {
     return ptr;
   }
 
-  bool TrustNode(const std::string& id, uint64_t timeout_ms = 10000) {
-    json::Object args;
-    args["node_id"] = id;
-    if (!RunProposal("transition_node_to_trusted",
-                     json::Value(std::move(args)), timeout_ms)) {
-      return false;
-    }
-    // Same convergence condition as the simulator harness: every live node
-    // has pruned to a single active configuration containing the joiner.
-    return LiveWaitFor(
-        [&] {
-          host::LiveNodeHost* j = host(id);
-          if (j == nullptr) return false;
-          if (!j->WithNode([](node::Node* n) { return n->has_joined(); })) {
-            return false;
-          }
-          for (auto& [nid, h] : hosts_) {
-            bool ok = h->WithNode([&](node::Node* n) {
-              if (n->retired()) return true;
-              const auto& configs = n->raft().active_configs();
-              return configs.size() == 1 &&
-                     configs.front().nodes.count(id) != 0;
-            });
-            if (!ok) return false;
-          }
-          return true;
-        },
-        timeout_ms);
-  }
-
-  // Submits {actions: [{name, args}]} via a live member client and votes
-  // yes with a majority.
-  bool RunProposal(const std::string& action, json::Value args,
-                   uint64_t timeout_ms = 10000) {
-    json::Object act;
-    act["name"] = action;
-    act["args"] = std::move(args);
-    json::Object proposal;
-    proposal["actions"] = json::Array{json::Value(std::move(act))};
-    json::Object body;
-    body["proposal"] = std::move(proposal);
-
-    host::LiveClient* m0 = MemberClient(0, gov_node_);
-    if (m0 == nullptr) return false;
-    auto resp =
-        m0->PostJsonSigned("/gov/propose", json::Value(body), timeout_ms);
-    if (!resp.ok() || resp->status != 200) return false;
-    auto parsed = json::Parse(ToString(resp->body));
-    if (!parsed.ok()) return false;
-    std::string pid = parsed->GetString("proposal_id");
-    std::string state = parsed->GetString("state");
-
-    for (size_t i = 0; i < consortium_.members.size() && state == "Open";
-         ++i) {
-      json::Object ballot;
-      ballot["proposal_id"] = pid;
-      ballot["ballot"] =
-          "function vote(proposal, proposer_id) { return true; }";
-      host::LiveClient* m = MemberClient(i, gov_node_);
-      if (m == nullptr) return false;
-      auto vresp = m->PostJsonSigned("/gov/vote",
-                                     json::Value(std::move(ballot)),
-                                     timeout_ms);
-      if (!vresp.ok() || vresp->status != 200) return false;
-      auto vparsed = json::Parse(ToString(vresp->body));
-      if (!vparsed.ok()) return false;
-      state = vparsed->GetString("state");
-    }
-    return state == "Accepted";
-  }
-
   host::LiveNodeHost* host(const std::string& id) {
     auto it = hosts_.find(id);
     return it != hosts_.end() ? it->second.get() : nullptr;
-  }
-  std::map<std::string, std::unique_ptr<host::LiveNodeHost>>& hosts() {
-    return hosts_;
   }
 
   // Hard-stops a node (host threads + enclave). Clients connected to it
@@ -218,86 +94,48 @@ class LiveServiceHarness {
     std::string primary;
     LiveWaitFor(
         [&] {
-          uint64_t best_view = 0;
-          primary.clear();
-          for (auto& [nid, h] : hosts_) {
-            auto [is_primary, view] = h->WithNode([](node::Node* n) {
-              return std::make_pair(n->IsPrimary(), n->view());
-            });
-            if (is_primary && (primary.empty() || view > best_view)) {
-              primary = nid;
-              best_view = view;
-            }
-          }
+          primary = CurrentPrimaryId();
           return !primary.empty();
         },
         timeout_ms);
     return primary;
   }
 
-  host::LiveClient* UserClient(const std::string& user_id,
-                               const std::string& node_id = "n0") {
-    std::string key = "client-" + user_id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      TestUser* user = users_.at(user_id).get();
-      auto client = std::make_unique<host::LiveClient>(
-          key, service_identity_, &user->key, user->cert);
-      if (!ConnectClient(client.get(), node_id)) return nullptr;
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
-  }
-
-  host::LiveClient* MemberClient(size_t idx,
-                                 const std::string& node_id = "n0") {
-    auto& m = consortium_.members.at(idx);
-    std::string key = "client-" + m.id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      auto client = std::make_unique<host::LiveClient>(
-          key, service_identity_, &m.key, m.cert);
-      if (!ConnectClient(client.get(), node_id)) return nullptr;
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
-  }
-
-  void DropClients() { clients_.clear(); }
-
-  // Waits until `seqno` is committed on all live nodes.
-  bool WaitForCommitEverywhere(uint64_t seqno, uint64_t timeout_ms = 8000) {
-    return LiveWaitFor(
-        [&] {
-          for (auto& [nid, h] : hosts_) {
-            bool ok = h->WithNode([&](node::Node* n) {
-              if (!n->has_joined() || !n->raft().InActiveConfig()) {
-                return true;
-              }
-              return n->commit_seqno() >= seqno;
-            });
-            if (!ok) return false;
-          }
-          return true;
-        },
-        timeout_ms);
-  }
-
  private:
-  bool ConnectClient(host::LiveClient* client, const std::string& node_id) {
+  friend class ConsortiumHarness<LiveServiceHarness, host::LiveClient>;
+
+  bool WaitFor(const std::function<bool()>& pred, uint64_t timeout_ms) {
+    return LiveWaitFor(pred, timeout_ms);
+  }
+  template <class F>
+  bool AllNodes(F&& pred) {
+    for (auto& entry : hosts_) {
+      if (!entry.second->WithNode(
+              [&](node::Node* n) { return pred(entry.first, n); })) {
+        return false;
+      }
+    }
+    return true;
+  }
+  bool Joined(const std::string& id) {
+    host::LiveNodeHost* h = host(id);
+    return h != nullptr &&
+           h->WithNode([](node::Node* n) { return n->has_joined(); });
+  }
+  std::unique_ptr<host::LiveClient> Dial(
+      const std::string& label, const crypto::KeyPair* key,
+      std::optional<crypto::Certificate> cert, const std::string& node_id) {
+    auto client = std::make_unique<host::LiveClient>(label, service_identity_,
+                                                     key, std::move(cert));
     host::LiveNodeHost* h = host(node_id);
-    if (h == nullptr) return false;
-    return client->Connect("127.0.0.1", h->rpc_port()).ok();
+    if (h == nullptr || !client->Connect("127.0.0.1", h->rpc_port()).ok()) {
+      return nullptr;
+    }
+    return client;
   }
 
-  Consortium consortium_;
-  std::string gov_node_ = "n0";
-  std::function<void(node::NodeConfig*)> config_tweak_;
-  apps::LoggingApp logging_app_;
   crypto::PublicKeyBytes service_identity_{};
   std::map<std::string, std::unique_ptr<host::LiveNodeHost>> hosts_;
-  std::map<std::string, std::unique_ptr<TestUser>> users_;
-  std::map<std::string, std::unique_ptr<host::LiveClient>> clients_;
 };
 
 }  // namespace ccf::testing

@@ -96,8 +96,8 @@ TEST(HistoricalQuery, PointInTimeReadOfOverwrittenKey) {
   ExpectReceiptVerifies(*new_body, n0->service_identity());
 
   // The data actually crossed the host boundary and was re-verified.
-  EXPECT_GT(n0->historical_counters().host_fetch_requests, 0u);
-  EXPECT_GT(n0->historical_counters().entries_verified, 0u);
+  EXPECT_GT(n0->metrics().ScalarValue("historical.host_fetch_requests"), 0u);
+  EXPECT_GT(n0->metrics().ScalarValue("historical.entries_verified"), 0u);
   EXPECT_TRUE(n0->historical().AuditCache(n0->service_identity()).ok());
 }
 
@@ -141,9 +141,9 @@ TEST(HistoricalQuery, RangeOutsideRetainedRootsWindow) {
 
   // The whole range crossed the host boundary: every fetched entry was
   // re-verified in the enclave, none rejected.
-  EXPECT_GT(n0->historical_counters().host_fetch_requests, 0u);
-  EXPECT_GE(n0->historical_counters().entries_verified, upto);
-  EXPECT_EQ(n0->historical_counters().entries_rejected, 0u);
+  EXPECT_GT(n0->metrics().ScalarValue("historical.host_fetch_requests"), 0u);
+  EXPECT_GE(n0->metrics().ScalarValue("historical.entries_verified"), upto);
+  EXPECT_EQ(n0->metrics().ScalarValue("historical.entries_rejected"), 0u);
   EXPECT_TRUE(n0->historical().AuditCache(n0->service_identity()).ok());
 }
 

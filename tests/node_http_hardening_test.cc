@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "node/wire.h"
 #include "rpc/session.h"
 #include "tests/service_harness.h"
 
@@ -101,15 +102,14 @@ TEST(HttpHardening, ParseErrorGets400AndClose) {
   std::vector<http::Response> responses;
   bool closed_hint = false;
   auto wrap = [](ByteSpan record) {
-    Bytes out;
-    out.push_back(1);  // kSessionRecord
-    Append(&out, record);
-    return out;
+    return node::WrapWire(node::kSessionRecord, record);
   };
   env.Register(
       "evil",
       [&](const std::string& from, ByteSpan data) {
-        if (from != "n0" || data.empty() || data[0] != 1) return;
+        if (from != "n0" || data.empty() || data[0] != node::kSessionRecord) {
+          return;
+        }
         auto out = session.OnRecord(data.subspan(1));
         if (!out.ok()) return;
         for (const Bytes& app : out->app_data) parser.Feed(app);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/hex.h"
 #include "merkle/receipt.h"
 #include "tests/service_harness.h"
@@ -32,6 +34,80 @@ TEST(SingleNodeService, WriteAndReadViaClient) {
   auto body = json::Parse(ToString(read->body));
   ASSERT_TRUE(body.ok());
   EXPECT_EQ(body->GetString("msg"), "hello ledger");
+}
+
+// Reconnect semantics of the client core: a request issued on an
+// abandoned handshake fails and is never sent, so a later call gets its
+// own response.
+TEST(ClientReconnect, RequestsOfAnAbandonedHandshakeAreDropped) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  h.StartGenesis();
+  node::Client* client = h.UserClient("user0");
+  json::Object one;
+  one["id"] = 1;
+  one["msg"] = "one";
+  ASSERT_EQ(client->PostJson("/app/log", json::Value(std::move(one)))->status,
+            200);
+  json::Object two;
+  two["id"] = 2;
+  two["msg"] = "two";
+  ASSERT_EQ(client->PostJson("/app/log", json::Value(std::move(two)))->status,
+            200);
+
+  client->Connect("n0");
+  std::optional<Result<http::Response>> first;
+  http::Request get1;
+  get1.method = "GET";
+  get1.path = "/app/log?id=1";
+  client->SendRequest(std::move(get1),
+                      [&](Result<http::Response> r) { first = std::move(r); });
+  client->Connect("n0");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_FALSE(first->ok());
+
+  auto second = client->Get("/app/log?id=2");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->status, 200);
+  auto body = json::Parse(ToString(second->body));
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body->GetString("msg"), "two");
+}
+
+// A callback failed by a reconnect may retry at once: the retry rides the
+// fresh session and gets its answer.
+TEST(ClientReconnect, CallbackMayReissueDuringReconnect) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  h.StartGenesis();
+  node::Client* client = h.UserClient("user0");
+  json::Object msg;
+  msg["id"] = 7;
+  msg["msg"] = "seven";
+  ASSERT_EQ(client->PostJson("/app/log", json::Value(std::move(msg)))->status,
+            200);
+
+  auto get7 = [] {
+    http::Request req;
+    req.method = "GET";
+    req.path = "/app/log?id=7";
+    return req;
+  };
+  int failures = 0;
+  std::optional<Result<http::Response>> retried;
+  client->SendRequest(get7(), [&](Result<http::Response> r) {
+    if (r.ok()) return;
+    ++failures;
+    client->SendRequest(get7(), [&](Result<http::Response> again) {
+      retried = std::move(again);
+    });
+  });
+  client->Connect("n0");
+  EXPECT_EQ(failures, 1);
+  ASSERT_TRUE(h.env().RunUntil([&] { return retried.has_value(); }, 5000));
+  ASSERT_TRUE(retried->ok()) << retried->status().ToString();
+  EXPECT_EQ((*retried)->status, 200);
+  EXPECT_NE(ToString((*retried)->body).find("seven"), std::string::npos);
 }
 
 TEST(SingleNodeService, TxStatusReachesCommitted) {

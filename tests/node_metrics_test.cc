@@ -184,9 +184,6 @@ TEST_F(NodeMetricsTest, AliasEndpointsMatchRegistry) {
             n0->metrics().ScalarValue("crypto.verifies_single"));
   EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("verify_failures")),
             n0->metrics().ScalarValue("crypto.verify_failures"));
-  // The struct snapshot accessor agrees too (the migration kept it).
-  EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("signs")),
-            n0->crypto_ops().signs);
 
   auto hist_resp = c->Get("/node/historical", 3000);
   ASSERT_TRUE(hist_resp.ok());
@@ -198,7 +195,7 @@ TEST_F(NodeMetricsTest, AliasEndpointsMatchRegistry) {
   EXPECT_EQ(static_cast<uint64_t>(hist->GetInt("entries_verified")),
             n0->metrics().ScalarValue("historical.entries_verified"));
   EXPECT_EQ(static_cast<uint64_t>(hist->GetInt("entries_rejected")),
-            n0->historical_counters().entries_rejected);
+            n0->metrics().ScalarValue("historical.entries_rejected"));
 }
 
 }  // namespace

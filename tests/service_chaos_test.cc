@@ -188,7 +188,7 @@ TEST(ServiceChaosOffload, AsyncModeStaysCorrect) {
   // The deferred signing path actually engaged on the primary.
   node::Node* p = h.Primary();
   ASSERT_NE(p, nullptr);
-  EXPECT_GT(p->crypto_ops().signs_deferred, 0u);
+  EXPECT_GT(p->metrics().ScalarValue("crypto.signs_deferred"), 0u);
 
   // A receipt for a mid-stream write verifies offline.
   Result<http::Response> rr = Status::Unavailable("none");
