@@ -4,8 +4,9 @@
 //   snapshot -- the service snapshots periodically, retires ledger chunks
 //               below the horizon, and hands joiners a verified bundle:
 //               join cost tracks the suffix length, not the ledger length
-//   replay   -- snapshots disabled; the joiner replays the entire ledger
-//               through consensus catch-up: join cost grows linearly
+//   replay   -- no bundle ever exists, so the joiner replays the entire
+//               ledger from seqno 1 through consensus catch-up: join cost
+//               grows linearly
 //
 // Results go to BENCH_snapshots.json (or the path given as the first
 // non-flag argument) for scripts/bench_diff.py. --smoke / CCF_BENCH_SMOKE=1
@@ -41,10 +42,8 @@ bool RunJoin(uint64_t writes, bool with_snapshots, JoinRow* out) {
       // Snapshot a handful of times per run, whatever the ledger length.
       cfg->snapshot_interval_txs = writes >= 2000 ? 500 : writes / 4;
       cfg->snapshot_retire_ledger = true;
-      cfg->join_from_snapshot = true;
     } else {
       cfg->snapshot_interval_txs = 1u << 30;
-      cfg->join_from_snapshot = false;
     }
   });
   node::Node* n0 = h.StartGenesis();
@@ -111,6 +110,14 @@ bool RunJoin(uint64_t writes, bool with_snapshots, JoinRow* out) {
                    static_cast<unsigned long long>(horizon));
       return false;
     }
+  } else if (base != 0 || out->entries_replayed < out->ledger_entries) {
+    // Without a bundle the joiner must have replayed the whole ledger.
+    std::fprintf(stderr,
+                 "ERROR: replay joiner base %llu replayed %llu of %llu\n",
+                 static_cast<unsigned long long>(base),
+                 static_cast<unsigned long long>(out->entries_replayed),
+                 static_cast<unsigned long long>(out->ledger_entries));
+    return false;
   }
   return true;
 }

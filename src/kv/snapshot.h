@@ -10,28 +10,14 @@
 #define CCF_KV_SNAPSHOT_H_
 
 #include "common/status.h"
-#include "crypto/sha256.h"
 #include "kv/store.h"
 
 namespace ccf::kv {
 
-struct Snapshot {
-  uint64_t seqno = 0;
-  uint64_t view = 0;
-  Bytes data;  // serialized State
-
-  crypto::Sha256Digest Digest() const;
-};
-
-// Serializes a store state deterministically.
+// Serializes a store state deterministically. Store::InstallState takes
+// the deserialized state back in.
 Bytes SerializeState(const State& state);
 Result<State> DeserializeState(ByteSpan data);
-
-// Captures the committed state of `store`.
-Snapshot TakeSnapshot(const Store& store, uint64_t view);
-
-// Installs a snapshot into `store` (replaces all state).
-Status InstallSnapshot(const Snapshot& snapshot, Store* store);
 
 // Splits a state by map visibility (writeset.h IsPublicMap): the returned
 // state holds only the public (or only the private) maps. Used by the

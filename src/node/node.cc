@@ -497,14 +497,11 @@ void Node::HostServeLedgerFetch(ByteSpan payload) {
   // drop, corrupt, delay or reorder its fetch responses (chaos suites).
   sim::HostFaults faults =
       env_ != nullptr ? env_->HostFaultsFor(config_.node_id) : sim::HostFaults{};
-  auto bernoulli = [&](double p) {
-    return p > 0.0 && host_drbg_.Uniform(10000) < static_cast<uint64_t>(p * 10000);
-  };
-  if (bernoulli(faults.drop)) {
+  if (HostFaultFires(faults.drop)) {
     historical_metrics_.host_fetch_drops->Inc();
     return;  // the enclave's retry interval recovers
   }
-  if (bernoulli(faults.corrupt) && !wire.empty()) {
+  if (HostFaultFires(faults.corrupt) && !wire.empty()) {
     wire[host_drbg_.Uniform(wire.size())] ^= 0x01;
     historical_metrics_.host_fetch_corrupts->Inc();
   }
@@ -517,7 +514,7 @@ void Node::HostServeLedgerFetch(ByteSpan payload) {
   pending.deliver_at_ms = now_ms_ + 1 + delay;  // min 1-tick RTT
   pending.seq = host_fetch_seq_++;
   pending.payload = std::move(wire);
-  if (bernoulli(faults.reorder) && !host_fetch_queue_.empty()) {
+  if (HostFaultFires(faults.reorder) && !host_fetch_queue_.empty()) {
     // Swap payloads with a random queued response: both still arrive, but
     // each at the other's delivery time.
     size_t i = host_drbg_.Uniform(host_fetch_queue_.size());
@@ -525,6 +522,11 @@ void Node::HostServeLedgerFetch(ByteSpan payload) {
     historical_metrics_.host_fetch_reorders->Inc();
   }
   host_fetch_queue_.push_back(std::move(pending));
+}
+
+bool Node::HostFaultFires(double p) {
+  return p > 0.0 &&
+         host_drbg_.Uniform(10000) < static_cast<uint64_t>(p * 10000);
 }
 
 void Node::HostDeliverFetchResponses() {
@@ -603,46 +605,51 @@ Result<historical::VerifiedEntry> Node::VerifyFetchedEntry(
   RETURN_IF_ERROR(receipt.Verify(
       ByteSpan(service_identity_.data(), service_identity_.size())));
 
-  Bytes private_plain;
-  if (!entry.private_sealed.empty()) {
-    if (encryptor_ == nullptr) {
-      return Status::Unavailable("no ledger secret for fetched entry");
-    }
-    auto aad = PublicAadDigest(entry.public_ws);
-    auto opened = encryptor_->Open(entry.view, entry.seqno,
-                                   entry.private_sealed,
-                                   ByteSpan(aad.data(), aad.size()));
-    if (!opened.ok()) {
-      historical_metrics_.entries_rejected->Inc();
-      return Status::PermissionDenied("fetched entry fails decryption");
-    }
-    private_plain = opened.take();
+  if (!entry.private_sealed.empty() && encryptor_ == nullptr) {
+    return Status::Unavailable("no ledger secret for fetched entry");
   }
-  ASSIGN_OR_RETURN(kv::WriteSet writes,
-                   kv::WriteSet::Parse(entry.public_ws, private_plain));
+  auto writes = DecodeEntry(entry, encryptor_.get());
+  if (!writes.ok()) {
+    historical_metrics_.entries_rejected->Inc();
+    return writes.status();
+  }
 
   historical::VerifiedEntry out;
   out.entry = entry;
-  out.writes = std::move(writes);
+  out.writes = writes.take();
   out.receipt = std::move(receipt);
   historical_metrics_.entries_verified->Inc();
   return out;
+}
+
+Result<kv::WriteSet> Node::DecodeEntry(const ledger::Entry& entry,
+                                       const kv::TxEncryptor* encryptor) {
+  Bytes private_plain;
+  if (!entry.private_sealed.empty() && encryptor != nullptr) {
+    auto aad = PublicAadDigest(entry.public_ws);
+    auto opened = encryptor->Open(entry.view, entry.seqno,
+                                  entry.private_sealed,
+                                  ByteSpan(aad.data(), aad.size()));
+    if (!opened.ok()) {
+      return Status::PermissionDenied("cannot decrypt private writes at " +
+                                      std::to_string(entry.seqno));
+    }
+    private_plain = opened.take();
+  }
+  auto ws = kv::WriteSet::Parse(entry.public_ws, private_plain);
+  if (!ws.ok()) {
+    return Status::Corruption("undecodable write set at " +
+                              std::to_string(entry.seqno) + ": " +
+                              ws.status().message());
+  }
+  return ws;
 }
 
 bool Node::DecodeCommittedEntry(uint64_t seqno,
                                 indexing::CommittedEntry* out) {
   auto entry = host_ledger_.Get(seqno);
   if (!entry.ok()) return false;  // e.g. pre-snapshot seqnos on a joiner
-  Bytes private_plain;
-  if (!(*entry)->private_sealed.empty() && encryptor_ != nullptr) {
-    auto aad = PublicAadDigest((*entry)->public_ws);
-    auto opened = encryptor_->Open((*entry)->view, (*entry)->seqno,
-                                   (*entry)->private_sealed,
-                                   ByteSpan(aad.data(), aad.size()));
-    if (!opened.ok()) return false;
-    private_plain = opened.take();
-  }
-  auto ws = kv::WriteSet::Parse((*entry)->public_ws, private_plain);
+  auto ws = DecodeEntry(**entry, encryptor_.get());
   if (!ws.ok()) return false;
   out->view = (*entry)->view;
   out->seqno = (*entry)->seqno;
@@ -877,29 +884,13 @@ void Node::OnAppendBatch(
       integrity_violation_ = true;
       break;
     }
-    ledger::Entry ledger_entry = parsed.take();
-
-    // Decrypt the private half with the ledger secret.
-    Bytes private_plain;
-    if (!ledger_entry.private_sealed.empty() && encryptor_ != nullptr) {
-      auto aad = PublicAadDigest(ledger_entry.public_ws);
-      auto opened = encryptor_->Open(ledger_entry.view, ledger_entry.seqno,
-                                     ledger_entry.private_sealed,
-                                     ByteSpan(aad.data(), aad.size()));
-      if (!opened.ok()) {
-        LOG_ERROR << config_.node_id << " cannot decrypt private writes at "
-                  << ledger_entry.seqno;
-        integrity_violation_ = true;
-        break;
-      }
-      private_plain = opened.take();
-    }
-    auto ws = kv::WriteSet::Parse(ledger_entry.public_ws, private_plain);
+    auto ws = DecodeEntry(*parsed, encryptor_.get());
     if (!ws.ok()) {
+      LOG_ERROR << config_.node_id << " " << ws.status().ToString();
       integrity_violation_ = true;
       break;
     }
-    batch.push_back({std::move(ledger_entry), ws.take()});
+    batch.push_back({parsed.take(), ws.take()});
   }
   if (batch.empty()) return;
 
@@ -1173,7 +1164,6 @@ Result<consensus::TxId> Node::CommitAndReplicate(kv::Tx* tx,
   entry.type = type;
   entry.public_ws = result.write_set.SerializePublic();
   Bytes private_plain = result.write_set.SerializePrivate();
-  kv::WriteSet empty_check;
   // Only seal when there are private writes.
   bool has_private = false;
   for (const auto& [name, writes] : result.write_set.maps) {
@@ -1331,35 +1321,26 @@ void Node::MaybeSnapshot() {
   uint64_t commit = raft_->commit_seqno();
   if (commit < last_snapshot_seqno_ + config_.snapshot_interval_txs) return;
   last_snapshot_seqno_ = commit;
-  latest_snapshot_ = kv::TakeSnapshot(store_, ViewAtSeqno(commit));
-  // Keep the matching tree leaves and configurations for joiners. ALL
-  // active configurations are captured: a snapshot taken inside a
-  // reconfiguration window has two, and a joiner seeded with only the
-  // first would run consensus against a stale membership.
-  snapshot_leaves_.clear();
-  for (uint64_t i = 0; i < commit; ++i) {
-    auto leaf = tree_.LeafAt(i);
-    if (leaf.ok()) snapshot_leaves_.push_back(*leaf);
-  }
-  snapshot_configs_ = raft_->active_configs();
+  // Holding the committed CHAMP root is O(1); only the primary serializes
+  // it, in BuildBundle. ALL active configurations are captured: a snapshot
+  // taken inside a reconfiguration window has two, and a joiner seeded
+  // with only the first would run consensus against a stale membership.
+  snapshot_capture_ =
+      SnapshotCapture{store_.committed_state(), store_.committed_seqno(),
+                      ViewAtSeqno(commit), raft_->active_configs()};
   snapshot_evidence_due_ = true;
   snapshot_metrics_.taken->Inc();
 }
 
 void Node::MaybeCommitSnapshotEvidence() {
   if (!snapshot_evidence_due_ || !raft_->IsPrimary()) return;
-  if (!latest_snapshot_.has_value() || encryptor_ == nullptr) return;
+  if (!snapshot_capture_.has_value() || encryptor_ == nullptr) return;
   snapshot_evidence_due_ = false;
 
-  auto state = kv::DeserializeState(latest_snapshot_->data);
-  if (!state.ok()) {
-    LOG_ERROR << config_.node_id << " snapshot state undecodable: "
-              << state.status().ToString();
-    return;
-  }
+  const SnapshotCapture& capture = *snapshot_capture_;
   SnapshotBundle bundle =
-      BuildBundle(*state, latest_snapshot_->seqno, latest_snapshot_->view,
-                  ledger_secret_, snapshot_leaves_, snapshot_configs_);
+      BuildBundle(capture.state, capture.seqno, capture.view, ledger_secret_,
+                  tree_, capture.configs);
 
   kv::Tx tx = store_.BeginTx();
   tx.Handle(tables::kSnapshotEvidence)
@@ -1442,42 +1423,37 @@ void Node::HandleSnapshotCatchUp(const std::string& peer, ByteSpan body) {
   }
   if (bundle->seqno <= raft_->commit_seqno()) return;  // stale offer
   if (encryptor_ == nullptr) return;  // no ledger secret yet
-  // Untrusted until the evidence receipt verifies against the pinned
-  // service identity, exactly like a joiner's bundle (paper §4.4).
-  Status verified = VerifyBundle(
-      *bundle, ByteSpan(service_identity_.data(), service_identity_.size()));
-  if (!verified.ok()) {
+  Status installed = InstallVerifiedBundle(*bundle);
+  if (!installed.ok()) {
     LOG_WARN << config_.node_id << " rejecting catch-up snapshot from "
-             << peer << ": " << verified.ToString();
+             << peer << ": " << installed.ToString();
     return;
-  }
-  auto state = RestoreState(*bundle, ledger_secret_);
-  if (!state.ok()) {
-    LOG_WARN << config_.node_id << " catch-up snapshot restore failed: "
-             << state.status().ToString();
-    return;
-  }
-
-  // Re-base wholesale: the local suffix is an uncommitted prefix of what
-  // the bundle already covers. The Merkle tree rebuilds from the bundle's
-  // leaves (our own leaves are a prefix of them, so committed signed roots
-  // and receipts stay valid); the host ledger restarts at the bundle's
-  // base like a joiner's.
-  store_.InstallState(state.take(), bundle->seqno);
-  tree_.Truncate(0);
-  tree_.AppendLeafHashes(bundle->leaves);
-  tx_digests_.clear();
-  tx_digests_.resize(bundle->seqno);  // digests for old entries are unknown
-  pending_sig_verifies_.clear();  // all pending are below the bundle
-  host_ledger_ = ledger::Ledger();
-  Status based = host_ledger_.SetBase(bundle->seqno);
-  if (!based.ok()) {
-    LOG_ERROR << config_.node_id << " catch-up ledger re-base failed: "
-              << based.ToString();
   }
   raft_->InstallSnapshot(bundle->seqno, bundle->view, bundle->configs);
   LOG_INFO << config_.node_id << " installed catch-up snapshot at "
            << bundle->seqno << " from " << peer;
+}
+
+Status Node::InstallVerifiedBundle(const SnapshotBundle& bundle) {
+  // Untrusted until the evidence receipt verifies against the pinned
+  // service identity (paper §4.4); nothing is installed before that.
+  RETURN_IF_ERROR(VerifyBundle(
+      bundle, ByteSpan(service_identity_.data(), service_identity_.size())));
+  ASSIGN_OR_RETURN(kv::State state, RestoreState(bundle, ledger_secret_));
+
+  // Re-base wholesale: any local suffix is an uncommitted prefix of what
+  // the bundle already covers. The Merkle tree rebuilds from the bundle's
+  // leaves (our own leaves are a prefix of them, so committed signed roots
+  // and receipts stay valid); the host ledger restarts at the bundle's
+  // base. The caller re-bases (or starts) consensus at the bundle.
+  store_.InstallState(std::move(state), bundle.seqno);
+  tree_.Truncate(0);
+  tree_.AppendLeafHashes(bundle.leaves);
+  tx_digests_.clear();
+  tx_digests_.resize(bundle.seqno);  // digests for old entries are unknown
+  pending_sig_verifies_.clear();  // all pending are below the bundle
+  host_ledger_ = ledger::Ledger();
+  return host_ledger_.SetBase(bundle.seqno);
 }
 
 void Node::HostStoreSnapshot(ByteSpan payload) {
@@ -1485,14 +1461,11 @@ void Node::HostStoreSnapshot(ByteSpan payload) {
   if (!msg.ok()) return;
   sim::HostFaults faults =
       env_ != nullptr ? env_->HostFaultsFor(config_.node_id) : sim::HostFaults{};
-  auto bernoulli = [&](double p) {
-    return p > 0.0 && host_drbg_.Uniform(10000) < static_cast<uint64_t>(p * 10000);
-  };
-  if (bernoulli(faults.snapshot_drop)) {
+  if (HostFaultFires(faults.snapshot_drop)) {
     snapshot_metrics_.persist_drops->Inc();
     return;  // the next snapshot interval produces a fresh bundle
   }
-  if (bernoulli(faults.snapshot_corrupt) && !msg->bundle.empty()) {
+  if (HostFaultFires(faults.snapshot_corrupt) && !msg->bundle.empty()) {
     msg->bundle[host_drbg_.Uniform(msg->bundle.size())] ^= 0x01;
     snapshot_metrics_.persist_corrupts->Inc();
   }

@@ -14,7 +14,9 @@
 //   - CreateGenesis: first node of a new service; creates the service
 //     identity and the genesis transaction.
 //   - CreateJoiner: attests to an existing service over STLS and receives
-//     the service secrets, a snapshot, and a node certificate (§4.4).
+//     the service secrets and a node certificate, then either installs the
+//     latest receipted snapshot bundle or replays the ledger from seqno 1
+//     through consensus (§4.4).
 //   - CreateRecovery: disaster recovery from ledger files (§5.2): public
 //     state is restored immediately; private state after enough members
 //     submit their recovery shares.
@@ -35,7 +37,6 @@
 #include "gov/shares.h"
 #include "http/http.h"
 #include "kv/encryptor.h"
-#include "kv/snapshot.h"
 #include "kv/store.h"
 #include "ledger/ledger.h"
 #include "merkle/merkle.h"
@@ -219,9 +220,18 @@ class Node : public consensus::RaftCallbacks {
   // queued responses whose delay has elapsed into the enclave inbox.
   void HostServeLedgerFetch(ByteSpan payload);
   void HostDeliverFetchResponses();
+  // One draw from host_drbg_: true with probability `p` (the host-fault
+  // policies of HostServeLedgerFetch and HostStoreSnapshot).
+  bool HostFaultFires(double p);
   // Enclave side: issue a fetch, and route a response to the state cache.
   void EnclaveSendLedgerFetch(uint64_t lo, uint64_t hi);
   void EnclaveHandleFetchResponse(ByteSpan payload);
+  // Opens an entry's sealed private half under its public write set's AAD
+  // and parses the whole write set: the one decoder for replicated,
+  // fetched, indexed and recovered entries. With a null `encryptor` only
+  // the public half is parsed.
+  static Result<kv::WriteSet> DecodeEntry(const ledger::Entry& entry,
+                                          const kv::TxEncryptor* encryptor);
   // Verifies one host-fetched entry against the Merkle tree and a signed
   // root, then decrypts its private writes (see historical::VerifyFn).
   Result<historical::VerifiedEntry> VerifyFetchedEntry(
@@ -367,9 +377,14 @@ class Node : public consensus::RaftCallbacks {
   // persisted snapshot once every peer's match index has passed them, and
   // offers the bundle to laggards whose next entry fell below the base.
   void MaybeCompactRaftLog();
-  // Follower side of snapshot catch-up: verify the offered bundle against
-  // the service identity and re-base store/tree/ledger/raft onto it.
+  // Follower side of snapshot catch-up: re-bases onto the offered bundle
+  // through InstallVerifiedBundle.
   void HandleSnapshotCatchUp(const std::string& peer, ByteSpan body);
+  // The one way a node takes on state it did not replay itself (joiners
+  // and snapshot catch-up): verify the bundle's evidence receipt against
+  // the pinned service identity, then re-base store, tree and ledger onto
+  // it.
+  Status InstallVerifiedBundle(const SnapshotBundle& bundle);
   std::optional<consensus::Configuration> DetectReconfiguration(
       const kv::WriteSet& writes, uint64_t seqno);
   std::set<std::string> TrustedNodesInState() const;
@@ -384,7 +399,9 @@ class Node : public consensus::RaftCallbacks {
   void HandleJoinResponse(Result<http::Response> resp);
   Status InstallJoinResponse(const json::Value& body);
   void HandleRecoveryShareSubmission(rpc::EndpointContext* ctx);
-  void CompleteRecovery(kv::LedgerSecret secret);
+  // Rebuilds the full store with the recovered secret. Fails closed: any
+  // entry that does not decode leaves the node recovering, with no secret.
+  Status CompleteRecovery(kv::LedgerSecret secret);
   Result<merkle::Receipt> BuildReceipt(uint64_t seqno);
   // Receipt for explicit digests (the historical path verifies fetched
   // entries whose digests may predate this node's own tx_digests_).
@@ -498,14 +515,19 @@ class Node : public consensus::RaftCallbacks {
   uint64_t last_signature_ms_ = 0;
   uint64_t now_ms_ = 0;
 
-  // Snapshots. MaybeSnapshot captures the committed state on every node;
-  // the primary then runs the evidence/persistence pipeline: build a
-  // bundle, commit its digest as evidence, wait until a receipt covers
-  // the evidence, and hand the finished bundle to the host and joiners.
+  // Snapshots. MaybeSnapshot captures the committed state on every node
+  // in O(1) (store versions are persistent CHAMP roots); the primary then
+  // runs the evidence/persistence pipeline: build a bundle, commit its
+  // digest as evidence, wait until a receipt covers the evidence, and hand
+  // the finished bundle to the host and joiners.
+  struct SnapshotCapture {
+    kv::State state;
+    uint64_t seqno = 0;
+    uint64_t view = 0;
+    std::vector<consensus::Configuration> configs;  // all active at seqno
+  };
   uint64_t last_snapshot_seqno_ = 0;
-  std::optional<kv::Snapshot> latest_snapshot_;
-  std::vector<merkle::Digest> snapshot_leaves_;  // tree leaves at snapshot
-  std::vector<consensus::Configuration> snapshot_configs_;
+  std::optional<SnapshotCapture> snapshot_capture_;
   bool snapshot_evidence_due_ = false;  // capture awaiting an evidence tx
   std::optional<SnapshotBundle> pending_bundle_;  // awaiting its receipt
   std::optional<SnapshotBundle> latest_bundle_;   // verified, receipted

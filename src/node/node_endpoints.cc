@@ -1079,12 +1079,12 @@ void Node::HandleJoinRequest(rpc::EndpointContext* ctx) {
       HexEncode(ByteSpan(service_key_->seed().data(), 32));
   out["ledger_secret"] = HexEncode(ledger_secret_.key);
 
-  // Certificates of the current consensus peers. A joiner whose snapshot
-  // predates (or, for the empty-snapshot baseline, omits) the nodes table
-  // cannot derive node-channel keys for them, yet the raft catch-up that
-  // would teach it those keys is itself delivered over node channels. The
-  // joiner verifies each certificate against the pinned service identity
-  // before trusting it.
+  // Certificates of the current consensus peers. A joiner that replays
+  // from seqno 1 (or whose bundle predates them) has no nodes table entry
+  // for them, so it cannot derive node-channel keys, yet the raft catch-up
+  // that would teach it those keys is itself delivered over node channels.
+  // The joiner verifies each certificate against the pinned service
+  // identity before trusting it.
   json::Object peer_certs;
   for (const consensus::Configuration& cfg : raft_->active_configs()) {
     for (const std::string& nid : cfg.nodes) {
@@ -1098,50 +1098,20 @@ void Node::HandleJoinRequest(rpc::EndpointContext* ctx) {
   }
   out["peer_certs"] = std::move(peer_certs);
 
-  // Snapshot of committed state (paper §4.4: "nodes can begin from a
-  // snapshot"). A joiner that asked for a verifiable bundle gets the
-  // latest receipted one and checks its evidence receipt against the
-  // pinned service identity before installing anything. Otherwise fall
-  // back to the inline snapshot, whose only protection is the attested
-  // STLS session; a joiner that declined snapshots outright (benchmark
-  // baseline) gets an empty one and replays the full log via catch-up.
-  bool want_snapshot = params->GetBool("want_snapshot");
-  if (want_snapshot && latest_bundle_.has_value()) {
+  // Paper §4.4: "nodes can begin from a snapshot". The joiner gets the
+  // latest receipted bundle and checks its evidence receipt against the
+  // pinned service identity before installing anything. Before the first
+  // bundle exists it gets only the active configurations -- ALL of them:
+  // inside a reconfiguration window there are two, and a joiner seeded
+  // with only the first would run consensus against a stale membership --
+  // and replays the ledger from seqno 1, verifying it like any backup.
+  if (latest_bundle_.has_value()) {
     out["snapshot_bundle"] = HexEncode(latest_bundle_->Serialize());
     ctx->SetJsonResponse(200, json::Value(std::move(out)));
     return;
   }
-  kv::Snapshot snap;
-  std::vector<merkle::Digest> leaves;
-  std::vector<consensus::Configuration> configs;
-  if (!want_snapshot) {
-    snap.data = kv::SerializeState(kv::State{});
-    configs = raft_->active_configs();
-  } else if (latest_snapshot_.has_value()) {
-    snap = *latest_snapshot_;
-    leaves = snapshot_leaves_;
-    configs = snapshot_configs_;
-  } else {
-    snap = kv::TakeSnapshot(store_, ViewAtSeqno(store_.committed_seqno()));
-    for (uint64_t i = 0; i < snap.seqno; ++i) {
-      auto leaf = tree_.LeafAt(i);
-      if (leaf.ok()) leaves.push_back(*leaf);
-    }
-    // ALL active configurations: inside a reconfiguration window there are
-    // two, and a joiner seeded with only the first would run consensus
-    // against a stale membership.
-    configs = raft_->active_configs();
-  }
-  out["snapshot_seqno"] = snap.seqno;
-  out["snapshot_view"] = snap.view;
-  out["snapshot_data"] = HexEncode(snap.data);
-  Bytes leaves_flat;
-  for (const merkle::Digest& d : leaves) {
-    Append(&leaves_flat, ByteSpan(d.data(), d.size()));
-  }
-  out["tree_leaves"] = HexEncode(leaves_flat);
   json::Array config_json;
-  for (const consensus::Configuration& cfg : configs) {
+  for (const consensus::Configuration& cfg : raft_->active_configs()) {
     json::Object c;
     c["seqno"] = cfg.seqno;
     json::Array nodes;
@@ -1166,7 +1136,6 @@ void Node::StartJoin(const std::string& target_node) {
   json::Object body;
   body["node_id"] = config_.node_id;
   body["host"] = config_.host;
-  body["want_snapshot"] = config_.join_from_snapshot;
   body["quote"] = HexEncode(quote.Serialize());
   body["public_key"] = HexEncode(
       ByteSpan(node_key_.public_key().data(), crypto::kPublicKeySize));
@@ -1240,60 +1209,25 @@ Status Node::InstallJoinResponse(const json::Value& body) {
     }
   }
 
-  // Verified snapshot bundle (paper §4.4): everything in it is untrusted
-  // until the evidence receipt verifies against the pinned service
-  // identity. A forged or corrupt bundle is rejected here, before any
-  // state is installed.
+  // Paper §4.4: the joiner installs the service's latest receipted bundle
+  // (a forged or corrupt one is rejected before any state is installed).
+  // Before the first bundle exists it starts empty and replays the ledger
+  // from seqno 1 through consensus, checking every Merkle root and
+  // signature as a backup does.
+  uint64_t base_view = 0;
+  uint64_t base_seqno = 0;
+  std::vector<consensus::Configuration> configs;
   const json::Value* bundle_hex = body.Get("snapshot_bundle");
+  const json::Value* config_json = body.Get("configurations");
   if (bundle_hex != nullptr && bundle_hex->is_string()) {
     ASSIGN_OR_RETURN(Bytes bundle_bytes, HexDecode(bundle_hex->AsString()));
     ASSIGN_OR_RETURN(SnapshotBundle bundle,
                      SnapshotBundle::Deserialize(bundle_bytes));
-    RETURN_IF_ERROR(VerifyBundle(
-        bundle, ByteSpan(service_identity_.data(), service_identity_.size())));
-    ASSIGN_OR_RETURN(kv::State state, RestoreState(bundle, ledger_secret_));
-    store_.InstallState(std::move(state), bundle.seqno);
-    tx_digests_.clear();
-    tx_digests_.resize(bundle.seqno);  // digests for old entries are unknown
-    tree_.AppendLeafHashes(bundle.leaves);
-    RETURN_IF_ERROR(host_ledger_.SetBase(bundle.seqno));
-    raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
-        config_.node_id, config_.raft, bundle.view, bundle.seqno,
-        bundle.configs, this));
-    raft_->BindMetrics(&metrics_);
-    LOG_INFO << config_.node_id << " joined from verified snapshot at "
-             << bundle.seqno;
-    return Status::Ok();
-  }
-
-  // Install the inline (legacy) snapshot.
-  kv::Snapshot snap;
-  snap.seqno = static_cast<uint64_t>(body.GetInt("snapshot_seqno"));
-  snap.view = static_cast<uint64_t>(body.GetInt("snapshot_view"));
-  ASSIGN_OR_RETURN(snap.data, HexDecode(body.GetString("snapshot_data")));
-  RETURN_IF_ERROR(kv::InstallSnapshot(snap, &store_));
-
-  // Rebuild the Merkle tree from the provided leaves.
-  ASSIGN_OR_RETURN(Bytes leaves_flat, HexDecode(body.GetString("tree_leaves")));
-  if (leaves_flat.size() % crypto::kSha256DigestSize != 0 ||
-      leaves_flat.size() / crypto::kSha256DigestSize != snap.seqno) {
-    return Status::InvalidArgument("join: bad tree leaves");
-  }
-  tx_digests_.clear();
-  tx_digests_.resize(snap.seqno);  // digests for old entries are unknown
-  std::vector<merkle::Digest> leaves(snap.seqno);
-  for (uint64_t i = 0; i < snap.seqno; ++i) {
-    std::copy(leaves_flat.begin() + i * crypto::kSha256DigestSize,
-              leaves_flat.begin() + (i + 1) * crypto::kSha256DigestSize,
-              leaves[i].begin());
-  }
-  // Bulk-install the historical leaves; interior nodes go through the
-  // 4-way hashing kernel.
-  tree_.AppendLeafHashes(leaves);
-
-  std::vector<consensus::Configuration> configs;
-  const json::Value* config_json = body.Get("configurations");
-  if (config_json != nullptr && config_json->is_array()) {
+    RETURN_IF_ERROR(InstallVerifiedBundle(bundle));
+    base_view = bundle.view;
+    base_seqno = bundle.seqno;
+    configs = std::move(bundle.configs);
+  } else if (config_json != nullptr && config_json->is_array()) {
     for (const json::Value& c : config_json->AsArray()) {
       consensus::Configuration cfg;
       cfg.seqno = static_cast<uint64_t>(c.GetInt("seqno"));
@@ -1310,11 +1244,11 @@ Status Node::InstallJoinResponse(const json::Value& body) {
     return Status::InvalidArgument("join: no configurations");
   }
 
-  RETURN_IF_ERROR(host_ledger_.SetBase(snap.seqno));
   raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
-      config_.node_id, config_.raft, snap.view, snap.seqno, configs, this));
+      config_.node_id, config_.raft, base_view, base_seqno, std::move(configs),
+      this));
   raft_->BindMetrics(&metrics_);
-  LOG_INFO << config_.node_id << " joined at snapshot " << snap.seqno;
+  LOG_INFO << config_.node_id << " joined at seqno " << base_seqno;
   return Status::Ok();
 }
 
@@ -1357,14 +1291,14 @@ void Node::InitRecovery(ledger::Ledger restored,
   }
   leaf_contents.reserve(host_ledger_.entries().size());
   for (const ledger::Entry& entry : host_ledger_.entries()) {
-    auto ws = kv::WriteSet::Parse(entry.public_ws, {});
-    if (ws.ok()) {
-      Status applied = store_.ApplyWriteSet(*ws, entry.seqno);
-      if (!applied.ok()) {
-        LOG_ERROR << "recovery replay failed at " << entry.seqno;
-        tree_.AppendBatch(leaf_contents);  // keep the applied prefix's tree
-        return;
-      }
+    auto ws = DecodeEntry(entry, /*encryptor=*/nullptr);
+    Status applied = ws.ok() ? store_.ApplyWriteSet(*ws, entry.seqno)
+                             : ws.status();
+    if (!applied.ok()) {
+      LOG_ERROR << "recovery replay failed at " << entry.seqno << ": "
+                << applied.ToString();
+      tree_.AppendBatch(leaf_contents);  // keep the applied prefix's tree
+      return;
     }
     TxDigests digests;
     digests.write_set = entry.WriteSetDigest();
@@ -1428,7 +1362,11 @@ void Node::HandleRecoveryShareSubmission(rpc::EndpointContext* ctx) {
       ctx->SetError(400, secret.status().message());
       return;
     }
-    CompleteRecovery(secret.take());
+    Status recovered = CompleteRecovery(secret.take());
+    if (!recovered.ok()) {
+      ctx->SetError(500, "recovery failed: " + recovered.message());
+      return;
+    }
     out["recovered"] = true;
   } else {
     out["recovered"] = false;
@@ -1436,50 +1374,28 @@ void Node::HandleRecoveryShareSubmission(rpc::EndpointContext* ctx) {
   ctx->SetJsonResponse(200, json::Value(std::move(out)));
 }
 
-void Node::CompleteRecovery(kv::LedgerSecret secret) {
-  ledger_secret_ = std::move(secret);
-  encryptor_ = std::make_unique<kv::TxEncryptor>(ledger_secret_);
-
+Status Node::CompleteRecovery(kv::LedgerSecret secret) {
   // Rebuild the store, now decrypting private writes (paper §5.2: "the
   // previous ledger's private state decrypted"). A node that bootstrapped
   // from a snapshot starts from the bundle's full state (opening its
   // sealed private half with the recovered secret) and replays only the
-  // ledger suffix on top.
+  // ledger suffix on top. Nothing is adopted unless every entry decodes.
+  auto encryptor = std::make_unique<kv::TxEncryptor>(secret);
   kv::Store rebuilt;
   if (recovery_bundle_.has_value()) {
-    auto full = RestoreState(*recovery_bundle_, ledger_secret_);
-    if (!full.ok()) {
-      LOG_ERROR << "recovery: cannot open snapshot private state: "
-                << full.status().ToString();
-      return;
-    }
-    rebuilt.InstallState(full.take(), recovery_bundle_->seqno);
+    ASSIGN_OR_RETURN(kv::State full, RestoreState(*recovery_bundle_, secret));
+    rebuilt.InstallState(std::move(full), recovery_bundle_->seqno);
   }
   for (const ledger::Entry& entry : host_ledger_.entries()) {
-    Bytes private_plain;
-    if (!entry.private_sealed.empty()) {
-      auto aad = crypto::Sha256::Hash(entry.public_ws);
-      auto opened = encryptor_->Open(entry.view, entry.seqno,
-                                     entry.private_sealed,
-                                     ByteSpan(aad.data(), aad.size()));
-      if (opened.ok()) {
-        private_plain = opened.take();
-      } else {
-        LOG_ERROR << "recovery: cannot decrypt entry " << entry.seqno;
-      }
-    }
-    auto ws = kv::WriteSet::Parse(entry.public_ws, private_plain);
-    if (!ws.ok()) continue;
-    Status applied = rebuilt.ApplyWriteSet(*ws, entry.seqno);
-    if (!applied.ok()) {
-      LOG_ERROR << "recovery rebuild failed at " << entry.seqno;
-      return;
-    }
+    ASSIGN_OR_RETURN(kv::WriteSet ws, DecodeEntry(entry, encryptor.get()));
+    RETURN_IF_ERROR(rebuilt.ApplyWriteSet(ws, entry.seqno));
   }
   Status compacted = rebuilt.Compact(raft_->commit_seqno());
   if (!compacted.ok()) {
     LOG_ERROR << "recovery rebuild compact failed";
   }
+  ledger_secret_ = std::move(secret);
+  encryptor_ = std::move(encryptor);
   store_ = std::move(rebuilt);
   recovery_pending_ = false;
   recovery_bundle_.reset();
@@ -1496,6 +1412,7 @@ void Node::CompleteRecovery(kv::LedgerSecret secret) {
     }
   }
   LOG_INFO << config_.node_id << " recovery complete; private state restored";
+  return Status::Ok();
 }
 
 }  // namespace ccf::node

@@ -150,7 +150,7 @@ Result<Bytes> OpenSnapshotPrivate(const kv::LedgerSecret& secret,
 
 SnapshotBundle BuildBundle(const kv::State& state, uint64_t seqno,
                            uint64_t view, const kv::LedgerSecret& secret,
-                           std::vector<merkle::Digest> leaves,
+                           const merkle::MerkleTree& tree,
                            std::vector<consensus::Configuration> configs) {
   SnapshotBundle b;
   b.seqno = seqno;
@@ -159,7 +159,10 @@ SnapshotBundle BuildBundle(const kv::State& state, uint64_t seqno,
   b.private_sealed = SealSnapshotPrivate(
       secret, view, seqno,
       kv::SerializeState(kv::FilterState(state, false)));
-  b.leaves = std::move(leaves);
+  for (uint64_t i = 0; i < seqno; ++i) {
+    auto leaf = tree.LeafAt(i);
+    if (leaf.ok()) b.leaves.push_back(*leaf);
+  }
   b.configs = std::move(configs);
   return b;
 }
@@ -295,11 +298,6 @@ Status SaveRawBundleToDir(ByteSpan bundle, uint64_t seqno,
     return Status::Internal("snapshot: write failed for " + path);
   }
   return Status::Ok();
-}
-
-Status SaveBundleToDir(const SnapshotBundle& bundle, const std::string& dir) {
-  Bytes data = bundle.Serialize();
-  return SaveRawBundleToDir(data, bundle.seqno, dir);
 }
 
 Result<SnapshotBundle> LoadLatestBundleFromDir(const std::string& dir) {

@@ -38,6 +38,7 @@
 #include "kv/encryptor.h"
 #include "kv/snapshot.h"
 #include "ledger/ledger.h"
+#include "merkle/merkle.h"
 #include "merkle/receipt.h"
 
 namespace ccf::node {
@@ -75,10 +76,12 @@ Result<Bytes> OpenSnapshotPrivate(const kv::LedgerSecret& secret,
                                   uint64_t view, uint64_t seqno,
                                   ByteSpan sealed);
 
-// Builds a bundle (without evidence fields) from a committed state.
+// Builds a bundle (without evidence fields) from the committed state at
+// `seqno`: the one place a snapshot's state is serialized. The leaves for
+// [1, seqno] are read from `tree`.
 SnapshotBundle BuildBundle(const kv::State& state, uint64_t seqno,
                            uint64_t view, const kv::LedgerSecret& secret,
-                           std::vector<merkle::Digest> leaves,
+                           const merkle::MerkleTree& tree,
                            std::vector<consensus::Configuration> configs);
 
 // The JSON record committed to tables::kSnapshotEvidence:
@@ -117,7 +120,6 @@ Result<kv::State> RestoreState(const SnapshotBundle& bundle,
 // interprets the bundle, it just stores bytes.
 Status SaveRawBundleToDir(ByteSpan bundle, uint64_t seqno,
                           const std::string& dir);
-Status SaveBundleToDir(const SnapshotBundle& bundle, const std::string& dir);
 Result<SnapshotBundle> LoadLatestBundleFromDir(const std::string& dir);
 
 }  // namespace ccf::node

@@ -385,6 +385,10 @@ TEST(MultiNodeService, JoinerStartsFromSnapshot) {
     ASSERT_TRUE(client->PostJson("/app/log", json::Value(std::move(msg))).ok());
   }
   ASSERT_TRUE(h.WaitForCommitEverywhere(n0->last_seqno()));
+  // Join only once a receipted bundle exists, so the joiner takes the
+  // bundle path by construction.
+  ASSERT_TRUE(h.env().RunUntil([&] { return n0->host_snapshot_seqno() > 0; },
+                               8000));
 
   node::Node* n1 = h.JoinAndTrust("n1");
   ASSERT_NE(n1, nullptr);

@@ -199,6 +199,82 @@ TEST(DisasterRecovery, InsufficientSharesKeepPrivateStateSealed) {
   EXPECT_FALSE(r->store().GetStr("private:app.messages", "1").has_value());
 }
 
+// A private half that no longer opens under the recovered secret stops
+// recovery: the share that completes the threshold gets an error naming
+// the entry, and no private write (before or after it) is adopted.
+TEST(DisasterRecovery, TamperedPrivateHalfFailsClosed) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  node::Node* n0 = h.StartGenesis();
+  node::Client* client = h.UserClient("user0");
+  uint64_t tampered_seqno = 0;
+  for (int i = 1; i <= 4; ++i) {
+    json::Object msg;
+    msg["id"] = i;
+    msg["msg"] = "precious-" + std::to_string(i);
+    auto w = client->PostJson("/app/log", json::Value(std::move(msg)));
+    ASSERT_TRUE(w.ok());
+    ASSERT_EQ(w->status, 200);
+    if (i == 3) tampered_seqno = node::Client::TxIdOf(*w)->second;
+  }
+  ASSERT_TRUE(h.env().RunUntil(
+      [&] { return n0->commit_seqno() >= n0->last_seqno(); }, 5000));
+
+  // The host flips one byte of the sealed private half of log id 3.
+  ledger::Ledger tampered;
+  for (ledger::Entry entry : n0->host_ledger().entries()) {
+    if (entry.seqno == tampered_seqno) {
+      ASSERT_FALSE(entry.private_sealed.empty());
+      entry.private_sealed[entry.private_sealed.size() / 2] ^= 1;
+    }
+    ASSERT_TRUE(tampered.Append(std::move(entry)).ok());
+  }
+  h.DropClients();
+  h.env().SetUp("n0", false);
+
+  auto r = node::Node::CreateRecovery(FastNodeConfig("r0", 7),
+                                      std::move(tampered), nullptr, &h.env());
+  ASSERT_TRUE(h.env().RunUntil(
+      [&] {
+        return r->IsPrimary() &&
+               r->service_status() == gov::ServiceStatus::kRecovering;
+      },
+      8000));
+
+  auto& members = h.consortium().members;
+  std::vector<http::Response> replies;
+  for (size_t i = 0; i < 2; ++i) {
+    auto share = r->ExtractRecoveryShare(members[i].id, members[i].key);
+    ASSERT_TRUE(share.ok()) << share.status().ToString();
+    node::Client mc("tamper-member-" + members[i].id, &h.env(),
+                    r->service_identity(), &members[i].key, members[i].cert);
+    mc.Connect("r0");
+    json::Object body;
+    body["share"] = HexEncode(*share);
+    auto resp = mc.PostJsonSigned("/gov/recovery_share",
+                                  json::Value(std::move(body)));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    replies.push_back(*resp);
+  }
+  ASSERT_EQ(replies[0].status, 200) << ToString(replies[0].body);
+  auto first = json::Parse(ToString(replies[0].body));
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->GetBool("recovered"));
+  // The threshold share: an error naming the undecodable entry.
+  EXPECT_NE(replies[1].status, 200);
+  std::string error = ToString(replies[1].body);
+  EXPECT_NE(error.find(std::to_string(tampered_seqno)), std::string::npos)
+      << error;
+  auto second = json::Parse(error);
+  EXPECT_FALSE(second.ok() && second->GetBool("recovered"));
+
+  // Still recovering, with no private state adopted at all.
+  h.env().Step(200);
+  EXPECT_EQ(r->service_status(), gov::ServiceStatus::kRecovering);
+  EXPECT_FALSE(r->store().GetStr("private:app.messages", "3").has_value());
+  EXPECT_FALSE(r->store().GetStr("private:app.messages", "4").has_value());
+}
+
 TEST(DisasterRecovery, LedgerSurvivesViaFiles) {
   // Same flow but through actual ledger files on disk.
   ServiceHarness h;
