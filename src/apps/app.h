@@ -42,10 +42,11 @@ struct EndpointDef {
   rpc::AuthPolicy auth = rpc::AuthPolicy::kNoAuth;
   bool read_only = false;
   bool exec_parallel = false;
-  // Null (default) means "no schema": the body is passed to the handler
-  // unvalidated, and OpenAPI documents no requestBody/response content.
-  json::Value request_schema;
-  json::Value response_schema;
+  // Null (default, so a definition may omit them) means "no schema": the
+  // body is passed to the handler unvalidated, and OpenAPI documents no
+  // requestBody/response content.
+  json::Value request_schema{};
+  json::Value response_schema{};
   rpc::EndpointHandler handler;
 };
 

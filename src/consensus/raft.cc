@@ -228,7 +228,7 @@ const LogEntry* RaftNode::GetLogEntry(uint64_t seqno) const {
   return &log_[seqno - base_seqno_ - 1];
 }
 
-void RaftNode::AppendToLog(LogEntry entry, bool remote_origin) {
+void RaftNode::AppendToLog(LogEntry entry) {
   assert(entry.seqno == last_seqno() + 1);
   if (view_history_.empty() || view_history_.back().first < entry.view) {
     view_history_.emplace_back(entry.view, entry.seqno);
@@ -251,7 +251,6 @@ void RaftNode::AppendToLog(LogEntry entry, bool remote_origin) {
     }
   }
   log_.push_back(std::move(entry));
-  if (remote_origin) cb_->OnAppend(log_.back());
 }
 
 void RaftNode::TruncateLog(uint64_t seqno) {
@@ -388,7 +387,7 @@ Status RaftNode::Replicate(uint64_t seqno, std::shared_ptr<const Bytes> data,
   entry.is_signature = is_signature;
   entry.reconfig = std::move(reconfig);
   entry.data = std::move(data);
-  AppendToLog(std::move(entry), /*remote_origin=*/false);
+  AppendToLog(std::move(entry));
   if (m_commit_latency_ != nullptr) submit_time_ms_[seqno] = now_ms_;
 
   // Signature transactions flush eagerly (they gate commit latency);
@@ -616,7 +615,7 @@ void RaftNode::HandleAppendEntries(const NodeId& from,
     // Delivery to the node layer is batched below; fresh appends are
     // always a contiguous suffix of the request (once one is appended,
     // every later entry takes this branch or breaks).
-    AppendToLog(entry, /*remote_origin=*/false);
+    AppendToLog(entry);
     if (first_appended == 0) first_appended = entry.seqno;
     match = entry.seqno;
   }
@@ -765,7 +764,7 @@ void RaftNode::TestInstallLog(std::vector<LogEntry> entries, uint64_t view) {
   last_sig_view_ = 0;
   view_ = view;
   for (LogEntry& e : entries) {
-    AppendToLog(std::move(e), /*remote_origin=*/false);
+    AppendToLog(std::move(e));
   }
 }
 

@@ -53,16 +53,12 @@ class RaftCallbacks {
  public:
   virtual ~RaftCallbacks() = default;
 
-  // A remote-originated entry was appended to the local log (backup path).
-  // The node layer applies it to its KV store, ledger, and Merkle tree.
-  virtual void OnAppend(const LogEntry& entry) = 0;
   // A contiguous run of remote-originated entries was appended in one
-  // AppendEntries message, delivered together after the last one is in the
-  // log. Default: per-entry delivery. The node layer overrides this to
-  // batch the Merkle/ledger work (crypto::Sha256x4 via AppendBatch).
-  virtual void OnAppendBatch(const std::vector<const LogEntry*>& entries) {
-    for (const LogEntry* entry : entries) OnAppend(*entry);
-  }
+  // AppendEntries message (backup path), delivered together after the last
+  // one is in the log. The node layer applies them to its KV store, ledger,
+  // and Merkle tree, batching the Merkle work (crypto::Sha256x4 via
+  // AppendBatch).
+  virtual void OnAppendBatch(const std::vector<const LogEntry*>& entries) = 0;
   // The log was rolled back: discard everything with seqno > `seqno`.
   virtual void OnRollback(uint64_t seqno) = 0;
   // The commit sequence number advanced.
@@ -208,7 +204,7 @@ class RaftNode {
   void HandleRequestVote(const NodeId& from, const RequestVoteReq& req);
   void HandleRequestVoteResp(const NodeId& from, const RequestVoteResp& resp);
 
-  void AppendToLog(LogEntry entry, bool remote_origin);
+  void AppendToLog(LogEntry entry);
   void TruncateLog(uint64_t seqno);
   void AdvanceCommitAsPrimary();
   void SetCommit(uint64_t seqno);

@@ -815,15 +815,16 @@ void Node::HandleChannelMessage(const std::string& peer, ByteSpan payload) {
       auto req = parser.Next();
       if (!req.ok() || !req->has_value()) return;
 
-      // Re-authenticate the forwarded caller against our own state.
-      http::Response response;
-      auto caller = Authenticate(cert);
-      if (!caller.ok()) {
-        response.status = 401;
-        response.body = ToBytes(caller.status().ToString());
-      } else {
-        response = ExecuteRequest(**req, *caller);
-      }
+      // The same admission as DispatchRequest, against our own state: the
+      // caller is re-authenticated and the schema re-checked here.
+      const http::Request& request = **req;
+      rpc::CallerIdentity caller = Authenticate(cert);
+      ResolvedEndpoint re = ResolveEndpoint(request.method, request.path);
+      std::optional<http::Response> rejected =
+          CheckRequestSchemaFor(re, request);
+      http::Response response = rejected.has_value()
+                                    ? *std::move(rejected)
+                                    : ExecuteNow(re, request, caller);
       BufWriter w;
       w.U64(*corr);
       w.Blob(response.Serialize());
@@ -837,14 +838,12 @@ void Node::HandleChannelMessage(const std::string& peer, ByteSpan payload) {
       if (!corr.ok() || !resp_bytes.ok()) return;
       auto it = pending_forwards_.find(*corr);
       if (it == pending_forwards_.end()) return;
-      std::string session_peer = it->second;
+      SessionRef to = std::move(it->second);
       pending_forwards_.erase(it);
       http::ResponseParser parser;
       parser.Feed(*resp_bytes);
       auto resp = parser.Next();
-      if (resp.ok() && resp->has_value()) {
-        RespondToSession(session_peer, **resp);
-      }
+      if (resp.ok() && resp->has_value()) RespondToSession(to, **resp);
       break;
     }
     case kSnapshotCatchUp: {
@@ -861,10 +860,6 @@ void Node::Send(const consensus::NodeId& to, const consensus::Message& msg) {
 }
 
 // --------------------------------------------------- consensus callbacks
-
-void Node::OnAppend(const consensus::LogEntry& entry) {
-  OnAppendBatch({&entry});
-}
 
 void Node::OnAppendBatch(
     const std::vector<const consensus::LogEntry*>& entries) {
@@ -898,12 +893,7 @@ void Node::OnAppendBatch(
   std::vector<Bytes> leaf_contents;
   leaf_contents.reserve(batch.size());
   for (const Decoded& d : batch) {
-    TxDigests digests;
-    digests.write_set = d.entry.WriteSetDigest();
-    digests.claims = d.entry.claims_digest;
-    leaf_contents.push_back(merkle::TransactionLeafContent(
-        d.entry.view, d.entry.seqno, digests.write_set, digests.claims));
-    tx_digests_.push_back(digests);
+    leaf_contents.push_back(RecordTxDigests(d.entry));
   }
   tree_.AppendBatch(leaf_contents);
 
@@ -952,15 +942,11 @@ void Node::OnAppendBatch(
   }
 }
 
-void Node::AppendLeafFor(const ledger::Entry& entry) {
-  TxDigests digests;
-  digests.write_set = entry.WriteSetDigest();
-  digests.claims = entry.claims_digest;
-  Bytes leaf = merkle::TransactionLeafContent(entry.view, entry.seqno,
-                                              digests.write_set,
-                                              digests.claims);
-  tree_.Append(leaf);
+Bytes Node::RecordTxDigests(const ledger::Entry& entry) {
+  TxDigests digests{entry.WriteSetDigest(), entry.claims_digest};
   tx_digests_.push_back(digests);
+  return merkle::TransactionLeafContent(entry.view, entry.seqno,
+                                        digests.write_set, digests.claims);
 }
 
 void Node::OnRollback(uint64_t seqno) {
@@ -1182,7 +1168,7 @@ Result<consensus::TxId> Node::CommitAndReplicate(kv::Tx* tx,
     entry.claims_digest = crypto::Sha256::Hash(result.claims);
   }
 
-  AppendLeafFor(entry);
+  tree_.Append(RecordTxDigests(entry));
   auto data = std::make_shared<const Bytes>(entry.Serialize());
   std::optional<consensus::Configuration> reconfig =
       DetectReconfiguration(result.write_set, result.seqno);
@@ -1190,19 +1176,7 @@ Result<consensus::TxId> Node::CommitAndReplicate(kv::Tx* tx,
   if (!appended.ok()) {
     LOG_ERROR << config_.node_id << " primary ledger append failed";
   }
-  if (type == ledger::EntryType::kSignature) {
-    // Record our own signed root for receipts.
-    auto it = result.write_set.maps.find(tables::kSignatures);
-    if (it != result.write_set.maps.end() && !it->second.empty()) {
-      auto hex = HexDecode(ToString(*it->second.begin()->second));
-      if (hex.ok()) {
-        auto sr = merkle::SignedRoot::Deserialize(*hex);
-        if (sr.ok()) signed_roots_[entry.seqno] = *sr;
-      }
-    }
-  } else {
-    ++txs_since_signature_;
-  }
+  if (type != ledger::EntryType::kSignature) ++txs_since_signature_;
 
   Status replicated = raft_->Replicate(
       result.seqno, data, type == ledger::EntryType::kSignature, reconfig);
@@ -1267,6 +1241,7 @@ void Node::CommitSignedRoot(const merkle::SignedRoot& sr) {
       ->PutStr(tables::kCurrentKey, HexEncode(sr.Serialize()));
   auto committed = CommitAndReplicate(&tx, ledger::EntryType::kSignature);
   if (committed.ok()) {
+    signed_roots_[committed->seqno] = sr;  // our own root, for receipts
     // Entries between the signed prefix boundary and the signature entry
     // itself (possible only under worker_async, where appends continue
     // while the sign is in flight) still await coverage by the next

@@ -190,7 +190,6 @@ class Node : public consensus::RaftCallbacks {
 
   // --------------------------------------------------- RaftCallbacks
 
-  void OnAppend(const consensus::LogEntry& entry) override;
   void OnAppendBatch(
       const std::vector<const consensus::LogEntry*>& entries) override;
   void OnRollback(uint64_t seqno) override;
@@ -275,29 +274,34 @@ class Node : public consensus::RaftCallbacks {
   ResolvedEndpoint ResolveEndpoint(const std::string& method,
                                    const std::string& target);
 
+  // The session a response is owed to: its peer label and the id of the
+  // session that received the request. A peer that re-opens its session
+  // keeps its label but not its id.
+  struct SessionRef {
+    std::string peer;
+    uint64_t id = 0;
+  };
+
   // One entry of the pending optimistic-execution batch (DESIGN.md §12),
   // accumulated by DispatchRequest while draining the enclave inbox and
   // flushed before anything that could commit, forward, or respond.
   struct ExecBatchItem {
-    std::string session_peer;
+    SessionRef session;
     http::Request request;
     rpc::CallerIdentity caller;
     ResolvedEndpoint re;
   };
 
+  // Admits a request once (pipelining cap, caller, endpoint, schema), then
+  // either appends it to the exec batch or flushes the batch and answers,
+  // forwards or executes it at once.
   void DispatchRequest(const std::string& session_peer,
                        const http::Request& request);
-  void RespondToSession(const std::string& session_peer,
-                        const http::Response& response);
+  // Drops the response when its session has closed or been re-opened.
+  void RespondToSession(const SessionRef& to, const http::Response& response);
   // Drops the session and, in live mode, asks the host to close the
   // underlying connection (tee::kCloseSession).
   void CloseUserSession(const std::string& session_peer);
-  // Timed wrapper: runs ExecuteRequestInner and records per-endpoint
-  // request/status/latency metrics.
-  http::Response ExecuteRequest(const http::Request& request,
-                                const rpc::CallerIdentity& caller);
-  http::Response ExecuteRequestInner(const http::Request& request,
-                                     const rpc::CallerIdentity& caller);
   // Methods (native or scripted) that could serve `path`, excluding
   // `method` itself: non-empty distinguishes 405 from 404 and feeds the
   // Allow: header.
@@ -309,10 +313,11 @@ class Node : public consensus::RaftCallbacks {
   // before any KV transaction is opened.
   std::optional<http::Response> CheckRequestSchemaFor(
       const ResolvedEndpoint& re, const http::Request& request);
-  // Runs one endpoint handler against a caller-provided transaction, with
-  // no commit: the service-open gate, the auth policy, and the handler.
-  // Safe on exec-pool workers during a batch's execution phase -- it only
-  // reads committed store state and mutates its own tx/response.
+  // The one execution function, with no commit: 404/405 for an unresolved
+  // endpoint, otherwise the service-open gate, the auth policy, and the
+  // handler on `tx`. Safe on exec-pool workers during a batch's execution
+  // phase for resolved endpoints -- it only reads committed store state
+  // and mutates its own tx/response.
   http::Response ExecuteOnTx(const ResolvedEndpoint& re,
                              const http::Request& request,
                              const rpc::CallerIdentity& caller, kv::Tx* tx);
@@ -324,24 +329,31 @@ class Node : public consensus::RaftCallbacks {
   // validation is re-executed serially at most this many times before the
   // request fails with 409.
   static constexpr size_t kExecMaxRetries = 4;
-  // Serial commit point for one batched item: validate/commit its
-  // phase-A transaction, re-executing serially with bounded retries on
-  // conflict (paper §6.4: logic may run multiple times, its transaction
-  // is applied exactly once).
-  http::Response CommitBatchedItem(const ExecBatchItem& item, kv::Tx* tx,
-                                   http::Response resp);
+  // The serial commit point for every request: validate/commit the
+  // transaction `resp` was produced on, re-executing serially with bounded
+  // retries on conflict (paper §6.4: logic may run multiple times, its
+  // transaction is applied exactly once). Records the per-endpoint
+  // metrics, with `handler_us` as the latency.
+  http::Response CommitRequest(const ResolvedEndpoint& re,
+                               const http::Request& request,
+                               const rpc::CallerIdentity& caller, kv::Tx* tx,
+                               http::Response resp, uint64_t handler_us);
+  // Executes an admitted request on a fresh transaction and commits it,
+  // outside any batch (inline endpoints and forwarded requests).
+  http::Response ExecuteNow(const ResolvedEndpoint& re,
+                            const http::Request& request,
+                            const rpc::CallerIdentity& caller);
   // Executes the pending batch: every item gets a transaction off the
-  // same store head, handlers run on exec_pool_, then a serial commit
-  // point validates and responds in submission order. Runs at the end of
-  // every inbox drain and before anything that could commit, forward, or
+  // same store head, handlers run on exec_pool_, then the commit point
+  // validates and responds in submission order. Runs at the end of every
+  // inbox drain and before anything that could commit, forward, or
   // respond.
   void FlushExecBatch();
-  Result<rpc::CallerIdentity> Authenticate(
+  rpc::CallerIdentity Authenticate(
       const std::optional<crypto::Certificate>& session_cert);
   Status CheckAuthPolicy(rpc::AuthPolicy policy,
                          const rpc::CallerIdentity& caller);
-  void ForwardToPrimary(const std::string& session_peer,
-                        const http::Request& request,
+  void ForwardToPrimary(const SessionRef& from, const http::Request& request,
                         const rpc::CallerIdentity& caller);
 
   // -------------------------------------------------- transactions
@@ -388,7 +400,9 @@ class Node : public consensus::RaftCallbacks {
   std::optional<consensus::Configuration> DetectReconfiguration(
       const kv::WriteSet& writes, uint64_t seqno);
   std::set<std::string> TrustedNodesInState() const;
-  void AppendLeafFor(const ledger::Entry& entry);
+  // Appends `entry`'s digests to tx_digests_ (receipts) and returns its
+  // Merkle leaf content, for the caller to append to tree_.
+  Bytes RecordTxDigests(const ledger::Entry& entry);
   uint64_t ViewAtSeqno(uint64_t seqno) const;
   void HandleOwnRetirement();
   void MaybeCompleteRetirements();
@@ -471,6 +485,7 @@ class Node : public consensus::RaftCallbacks {
   // Sessions from users/joiners, keyed by transport peer id (simulation
   // peer id in sim mode, connection label in live mode).
   struct UserSession {
+    uint64_t id = 0;  // node-unique; a re-opened session gets a new one
     std::unique_ptr<rpc::ServerSession> stls;
     http::RequestParser parser;
     bool sticky_forwarding = false;
@@ -482,6 +497,7 @@ class Node : public consensus::RaftCallbacks {
     bool close_after = false;
   };
   std::map<std::string, UserSession> sessions_;
+  uint64_t next_session_id_ = 1;
 
   // Node-to-node channel receive/send state. Pair keys are derived per
   // (peer, epoch) from static-static ECDH via HKDF and cached; the send
@@ -499,7 +515,7 @@ class Node : public consensus::RaftCallbacks {
 
   // Forwarded requests awaiting a primary response: correlation -> session.
   uint64_t next_correlation_ = 1;
-  std::map<uint64_t, std::string> pending_forwards_;
+  std::map<uint64_t, SessionRef> pending_forwards_;
 
   // Joining state: the STLS client towards the join target, whose pipe
   // is this node's own outbox. Null once the node has joined.

@@ -22,6 +22,13 @@ namespace tables = kv::tables;
 
 namespace {
 
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 // Verifies the detached governance request signature (COSE-Sign1 analogue):
 // x-ccf-signature header = hex signature over SHA-256 of the body, under
 // the caller's certificate key.
@@ -54,6 +61,7 @@ void Node::HandleSessionRecord(const std::string& peer, ByteSpan record) {
   bool is_hello = !record.empty() && record[0] == 1;  // kClientHello
   if (it == sessions_.end() || is_hello) {
     UserSession session;
+    session.id = next_session_id_++;
     session.stls = std::make_unique<rpc::ServerSession>(&node_key_,
                                                         node_cert_, &drbg_);
     it = sessions_.insert_or_assign(peer, std::move(session)).first;
@@ -77,13 +85,12 @@ void Node::HandleSessionRecord(const std::string& peer, ByteSpan record) {
       // Malformed HTTP: answer 400 and drop the connection (the parser
       // state is poisoned, nothing after this is trustworthy). Flush the
       // batch first so earlier pipelined responses keep their order.
+      const SessionRef to{peer, it->second.id};
       FlushExecBatch();
-      if (sessions_.find(peer) != sessions_.end()) {
-        http::Response resp = rpc::ErrorResponse(400, "InvalidRequestBody",
-                                                 "malformed request");
-        resp.headers["connection"] = "close";
-        RespondToSession(peer, resp);
-      }
+      http::Response resp = rpc::ErrorResponse(400, "InvalidRequestBody",
+                                               "malformed request");
+      resp.headers["connection"] = "close";
+      RespondToSession(to, resp);
       CloseUserSession(peer);
       return;
     }
@@ -95,10 +102,13 @@ void Node::HandleSessionRecord(const std::string& peer, ByteSpan record) {
   }
 }
 
-void Node::RespondToSession(const std::string& session_peer,
+void Node::RespondToSession(const SessionRef& to,
                             const http::Response& response) {
-  auto it = sessions_.find(session_peer);
-  if (it == sessions_.end()) return;
+  // A response owed to a session that has closed, or that its peer has
+  // since re-opened under the same label, goes nowhere: delivered on the
+  // new session, it would be matched to that session's first request.
+  auto it = sessions_.find(to.peer);
+  if (it == sessions_.end() || it->second.id != to.id) return;
   UserSession& session = it->second;
   if (session.in_flight > 0) --session.in_flight;
   if (session.close_after && session.in_flight == 0) {
@@ -108,14 +118,14 @@ void Node::RespondToSession(const std::string& session_peer,
     last.headers["connection"] = "close";
     auto record = session.stls->Seal(last.Serialize());
     if (record.ok()) {
-      EnclaveSendNet(session_peer, WrapWire(kSessionRecord, *record));
+      EnclaveSendNet(to.peer, WrapWire(kSessionRecord, *record));
     }
-    CloseUserSession(session_peer);
+    CloseUserSession(to.peer);
     return;
   }
   auto record = session.stls->Seal(response.Serialize());
   if (record.ok()) {
-    EnclaveSendNet(session_peer, WrapWire(kSessionRecord, *record));
+    EnclaveSendNet(to.peer, WrapWire(kSessionRecord, *record));
   }
 }
 
@@ -131,7 +141,7 @@ void Node::CloseUserSession(const std::string& session_peer) {
 
 // ----------------------------------------------------------------- auth
 
-Result<rpc::CallerIdentity> Node::Authenticate(
+rpc::CallerIdentity Node::Authenticate(
     const std::optional<crypto::Certificate>& session_cert) {
   rpc::CallerIdentity caller;
   if (!session_cert.has_value()) return caller;
@@ -191,6 +201,7 @@ void Node::DispatchRequest(const std::string& session_peer,
   auto session_it = sessions_.find(session_peer);
   if (session_it == sessions_.end()) return;
   UserSession& session = session_it->second;
+  const SessionRef from{session_peer, session.id};
 
   // HTTP keep-alive hardening (live clients): track pipelining depth and
   // honour "connection: close". Responses land through RespondToSession,
@@ -199,85 +210,68 @@ void Node::DispatchRequest(const std::string& session_peer,
   if (request.GetHeader("connection") == "close") {
     session.close_after = true;
   }
+
+  // Admission, once per request. Past the pipelining cap the request is
+  // refused and the connection closes. Otherwise the caller and one
+  // classification for native and scripted endpoints decide the rest, and
+  // declared request schemas are enforced at the door (DESIGN.md §14): a
+  // violating body is rejected with a structured 400 before the request is
+  // batched, forwarded, or allowed to open a KV transaction. Schemas are
+  // public (served at /app/api), so validating before auth leaks nothing.
+  std::optional<http::Response> rejected;
+  rpc::CallerIdentity caller;
+  ResolvedEndpoint re;
   if (config_.http_max_pipeline > 0 &&
       session.in_flight > config_.http_max_pipeline) {
-    // Flush first so earlier pipelined responses keep their order; the
-    // flush can itself retire this session, so re-find it.
-    FlushExecBatch();
-    if (auto it = sessions_.find(session_peer); it != sessions_.end()) {
-      it->second.close_after = true;
-      RespondToSession(session_peer,
-                       rpc::ErrorResponse(503, "ServiceUnavailable",
-                                          "pipeline depth exceeded"));
-    }
-    return;
+    session.close_after = true;
+    rejected = rpc::ErrorResponse(503, "ServiceUnavailable",
+                                  "pipeline depth exceeded");
+  } else {
+    caller = Authenticate(session.stls->peer_cert());
+    re = ResolveEndpoint(request.method, request.path);
+    rejected = CheckRequestSchemaFor(re, request);
   }
 
-  auto caller = Authenticate(session.stls->peer_cert());
-  if (!caller.ok()) {
-    // Flush first so responses stay ordered per connection.
-    FlushExecBatch();
-    RespondToSession(session_peer,
-                     rpc::ErrorResponse(401, "Unauthorized",
-                                        caller.status().ToString()));
-    return;
-  }
-
-  // One classification for native and scripted endpoints: read-only
-  // endpoints are served by any node (paper §4.3); writes go to the
-  // primary. Session consistency: once forwarded, always forwarded.
-  ResolvedEndpoint re = ResolveEndpoint(request.method, request.path);
-
-  // Declared request schemas are enforced at the door (DESIGN.md §14):
-  // a violating body is rejected with a structured 400 before the request
-  // is batched, forwarded, or allowed to open a KV transaction. Schemas
-  // are public (served at /app/api), so validating before auth leaks
-  // nothing. Forwarded requests are re-checked on the primary.
-  if (auto rejected = CheckRequestSchemaFor(re, request);
-      rejected.has_value()) {
-    // Flush first so earlier pipelined responses keep their order.
-    FlushExecBatch();
-    RespondToSession(session_peer, *rejected);
-    return;
-  }
-
-  bool must_forward = (!re.read_only || session.sticky_forwarding) &&
+  // Read-only endpoints are served by any node (paper §4.3); writes go to
+  // the primary. Session consistency: once forwarded, always forwarded.
+  bool must_forward = !rejected.has_value() &&
+                      (!re.read_only || session.sticky_forwarding) &&
                       raft_ != nullptr && !raft_->IsPrimary();
-  if (must_forward) {
-    FlushExecBatch();
-    if (auto it = sessions_.find(session_peer); it != sessions_.end()) {
-      it->second.sticky_forwarding = true;
-      ForwardToPrimary(session_peer, request, *caller);
-    }
-    return;
-  }
-  if (re.found && re.exec_parallel) {
+  if (must_forward) session.sticky_forwarding = true;
+  if (!rejected.has_value() && !must_forward && re.found &&
+      re.exec_parallel) {
     // Batched optimistic execution (DESIGN.md §12). Eligibility must not
     // depend on exec_threads: every setting takes the batch path, and the
     // batch path itself is scheduling-independent (the pool's synchronous
     // mode runs jobs inline in the same order a blocking drain retires
     // them), so exec_threads 0 and N produce bit-identical runs.
     exec_batch_.push_back(
-        ExecBatchItem{session_peer, request, *caller, std::move(re)});
+        ExecBatchItem{from, request, std::move(caller), std::move(re)});
     return;
   }
+  // Everything else is answered now: flush first so earlier pipelined
+  // responses keep their order.
   FlushExecBatch();
-  http::Response response = ExecuteRequest(request, *caller);
-  RespondToSession(session_peer, response);
+  if (rejected.has_value()) {
+    RespondToSession(from, *rejected);
+  } else if (must_forward) {
+    ForwardToPrimary(from, request, caller);
+  } else {
+    RespondToSession(from, ExecuteNow(re, request, caller));
+  }
 }
 
-void Node::ForwardToPrimary(const std::string& session_peer,
+void Node::ForwardToPrimary(const SessionRef& from,
                             const http::Request& request,
                             const rpc::CallerIdentity& caller) {
   auto leader = raft_ != nullptr ? raft_->leader() : std::nullopt;
   if (!leader.has_value() || *leader == config_.node_id) {
-    RespondToSession(session_peer,
-                     rpc::ErrorResponse(503, "ServiceUnavailable",
-                                        "no known primary, retry"));
+    RespondToSession(from, rpc::ErrorResponse(503, "ServiceUnavailable",
+                                              "no known primary, retry"));
     return;
   }
   uint64_t corr = next_correlation_++;
-  pending_forwards_[corr] = session_peer;
+  pending_forwards_[corr] = from;
   BufWriter w;
   w.U64(corr);
   w.Bool(caller.cert.has_value());
@@ -286,19 +280,6 @@ void Node::ForwardToPrimary(const std::string& session_peer,
   }
   w.Blob(request.Serialize());
   SendOnChannel(*leader, kForwardRequest, w.data());
-}
-
-http::Response Node::ExecuteRequest(const http::Request& request,
-                                    const rpc::CallerIdentity& caller) {
-  auto t0 = std::chrono::steady_clock::now();
-  http::Response response = ExecuteRequestInner(request, caller);
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-  rpc::RecordEndpointMetrics(&metrics_, request.method,
-                             http::ParseTarget(request.path).path,
-                             response.status, static_cast<uint64_t>(us));
-  return response;
 }
 
 Node::ResolvedEndpoint Node::ResolveEndpoint(const std::string& method,
@@ -367,84 +348,27 @@ std::optional<http::Response> Node::CheckRequestSchemaFor(
   return rpc::CheckRequestSchema(*re.spec, body);
 }
 
-http::Response Node::ExecuteRequestInner(const http::Request& request,
-                                         const rpc::CallerIdentity& caller) {
-  http::Response error;
-  ResolvedEndpoint re = ResolveEndpoint(request.method, request.path);
-  if (!re.found) {
-    std::vector<std::string> allowed =
-        AllowedMethodsForPath(request.method, re.path);
-    if (!allowed.empty()) {
-      std::string joined;
-      for (const std::string& m : allowed) {
-        if (!joined.empty()) joined += ", ";
-        joined += m;
-      }
-      error = rpc::ErrorResponse(405, "MethodNotAllowed",
-                                 request.method + " is not supported here; "
-                                 "Allow: " + joined);
-      error.headers["allow"] = joined;
-      return error;
-    }
-    return rpc::ErrorResponse(404, "ResourceNotFound", "no such endpoint");
-  }
-
-  // Forwarded requests reach this node without passing the entry node's
-  // dispatch-time schema gate in this process; re-check before any
-  // transaction is opened.
-  if (auto rejected = CheckRequestSchemaFor(re, request);
-      rejected.has_value()) {
-    return *rejected;
-  }
-
-  // Optimistic execution with re-execution on conflict (paper §6.4).
-  const size_t attempts = kExecMaxRetries + 1;
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    kv::Tx tx = store_.BeginTx();
-    http::Response resp = ExecuteOnTx(re, request, caller, &tx);
-    if (resp.status >= 400) {
-      return resp;  // failed requests leave no trace in the ledger
-    }
-    auto stamp_uncommitted = [&](http::Response* r) {
-      r->headers[http::kTxIdHeader] =
-          consensus::TxId{ViewAtSeqno(store_.current_seqno()),
-                          store_.current_seqno()}
-              .ToString();
-    };
-    if (re.read_only) {
-      if (!re.is_scripted && tx.has_writes()) {
-        return rpc::ErrorResponse(500, "InternalError",
-                                  "read-only endpoint wrote");
-      }
-      stamp_uncommitted(&resp);
-      return resp;
-    }
-    if (re.is_scripted && !tx.has_writes()) {
-      stamp_uncommitted(&resp);
-      return resp;
-    }
-    ledger::EntryType entry_type =
-        !re.is_scripted && re.path.rfind("/gov/", 0) == 0
-            ? ledger::EntryType::kGovernance
-            : ledger::EntryType::kUser;
-    auto committed = CommitAndReplicate(&tx, entry_type);
-    if (!committed.ok()) {
-      if (committed.status().code() == Status::Code::kAborted) {
-        continue;  // conflict: re-execute
-      }
-      return rpc::ErrorResponse(503, "ServiceUnavailable",
-                                committed.status().message());
-    }
-    resp.headers[http::kTxIdHeader] = committed->ToString();
-    return resp;
-  }
-  return rpc::ErrorResponse(409, "Conflict", "transaction conflict");
-}
-
 http::Response Node::ExecuteOnTx(const ResolvedEndpoint& re,
                                  const http::Request& request,
                                  const rpc::CallerIdentity& caller,
                                  kv::Tx* tx) {
+  if (!re.found) {
+    std::vector<std::string> allowed =
+        AllowedMethodsForPath(request.method, re.path);
+    if (allowed.empty()) {
+      return rpc::ErrorResponse(404, "ResourceNotFound", "no such endpoint");
+    }
+    std::string joined;
+    for (const std::string& m : allowed) {
+      if (!joined.empty()) joined += ", ";
+      joined += m;
+    }
+    http::Response error = rpc::ErrorResponse(
+        405, "MethodNotAllowed",
+        request.method + " is not supported here; Allow: " + joined);
+    error.headers["allow"] = joined;
+    return error;
+  }
   // The application is only reachable once the service is open (paper §5).
   if (re.path.rfind("/app/", 0) == 0 &&
       service_status() != gov::ServiceStatus::kOpen) {
@@ -458,17 +382,9 @@ http::Response Node::ExecuteOnTx(const ResolvedEndpoint& re,
   if (re.is_scripted) {
     return ExecuteScriptedOnTx(re.scripted_spec, request, caller, tx);
   }
-  // Handlers read query params via EndpointContext::Param, which checks
-  // the query string first; the legacy x-query-* headers are still
-  // stashed so pre-query-string handlers and clients keep working.
-  http::ParsedTarget target = http::ParseTarget(request.path);
-  http::Request annotated = request;
-  for (const auto& [k, v] : target.params) {
-    annotated.headers["x-query-" + k] = v;
-  }
-  rpc::EndpointContext qctx(tx, &annotated, caller);
-  re.spec->handler(&qctx);
-  return std::move(qctx.response());
+  rpc::EndpointContext ctx(tx, &request, caller);
+  re.spec->handler(&ctx);
+  return std::move(ctx.response());
 }
 
 http::Response Node::ExecuteScriptedOnTx(const json::Value& spec,
@@ -553,8 +469,8 @@ http::Response Node::ExecuteScriptedOnTx(const json::Value& spec,
   }
   resp.status = status;
   resp.body = ToBytes(body);
-  // Commit/abort handling and TxId stamping happen at the caller's serial
-  // commit point (ExecuteRequestInner or CommitBatchedItem).
+  // Commit/abort handling and TxId stamping happen at the serial commit
+  // point (CommitRequest).
   return resp;
 }
 
@@ -588,92 +504,99 @@ void Node::FlushExecBatch() {
       const ExecBatchItem& item = exec_batch_[i];
       auto t0 = std::chrono::steady_clock::now();
       responses[i] = ExecuteOnTx(item.re, item.request, item.caller, &txs[i]);
-      wall_us[i] = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
+      wall_us[i] = MicrosSince(t0);
     });
   }
   exec_pool_.SubmitBatch(std::move(jobs));
   exec_pool_.Drain(/*wait_all=*/true);
 
-  // Phase B: single serial commit point, in submission order. Writers
-  // validate against whatever committed before them (including earlier
-  // members of this batch) and re-execute serially on conflict.
+  // Phase B: the commit point, in submission order. Writers validate
+  // against whatever committed before them (including earlier members of
+  // this batch) and re-execute serially on conflict.
   for (size_t i = 0; i < n; ++i) {
     const ExecBatchItem& item = exec_batch_[i];
-    http::Response out =
-        CommitBatchedItem(item, &txs[i], std::move(responses[i]));
-    rpc::RecordEndpointMetrics(&metrics_, item.request.method, item.re.path,
-                               out.status, wall_us[i]);
-    RespondToSession(item.session_peer, out);
+    RespondToSession(item.session,
+                     CommitRequest(item.re, item.request, item.caller, &txs[i],
+                                   std::move(responses[i]), wall_us[i]));
   }
   exec_batch_.clear();
 }
 
-http::Response Node::CommitBatchedItem(const ExecBatchItem& item, kv::Tx* tx,
-                                       http::Response resp) {
-  if (resp.status >= 400) {
-    return resp;  // failed requests leave no trace in the ledger
-  }
-  auto stamp_uncommitted = [&](http::Response* r) {
-    r->headers[http::kTxIdHeader] =
+http::Response Node::ExecuteNow(const ResolvedEndpoint& re,
+                                const http::Request& request,
+                                const rpc::CallerIdentity& caller) {
+  kv::Tx tx = store_.BeginTx();
+  auto t0 = std::chrono::steady_clock::now();
+  http::Response resp = ExecuteOnTx(re, request, caller, &tx);
+  uint64_t us = MicrosSince(t0);
+  return CommitRequest(re, request, caller, &tx, std::move(resp), us);
+}
+
+http::Response Node::CommitRequest(const ResolvedEndpoint& re,
+                                   const http::Request& request,
+                                   const rpc::CallerIdentity& caller,
+                                   kv::Tx* tx, http::Response resp,
+                                   uint64_t handler_us) {
+  auto stamp_uncommitted = [&] {
+    resp.headers[http::kTxIdHeader] =
         consensus::TxId{ViewAtSeqno(store_.current_seqno()),
                         store_.current_seqno()}
             .ToString();
   };
-  if (item.re.read_only) {
+  if (resp.status >= 400) {
+    // Failed requests leave no trace in the ledger.
+  } else if (re.read_only) {
     // No validation needed: the handler saw one immutable committed
     // snapshot and wrote nothing, so it serializes at its snapshot.
-    if (!item.re.is_scripted && tx->has_writes()) {
-      return rpc::ErrorResponse(500, "InternalError",
+    if (!re.is_scripted && tx->has_writes()) {
+      resp = rpc::ErrorResponse(500, "InternalError",
                                 "read-only endpoint wrote");
+    } else {
+      stamp_uncommitted();
     }
-    stamp_uncommitted(&resp);
-    return resp;
+  } else {
+    ledger::EntryType entry_type =
+        !re.is_scripted && re.path.rfind("/gov/", 0) == 0
+            ? ledger::EntryType::kGovernance
+            : ledger::EntryType::kUser;
+    uint64_t reexecs = 0;
+    std::optional<kv::Tx> retry_tx;
+    for (kv::Tx* cur = tx;;) {
+      if (re.is_scripted && !cur->has_writes()) {
+        stamp_uncommitted();
+        break;
+      }
+      auto committed = CommitAndReplicate(cur, entry_type);
+      if (committed.ok()) {
+        resp.headers[http::kTxIdHeader] = committed->ToString();
+        break;
+      }
+      if (committed.status().code() != Status::Code::kAborted) {
+        resp = rpc::ErrorResponse(503, "ServiceUnavailable",
+                                  committed.status().message());
+        break;
+      }
+      if (reexecs == 0) exec_metrics_.conflicts->Inc();
+      if (reexecs >= kExecMaxRetries) {
+        exec_metrics_.aborts->Inc();
+        resp = rpc::ErrorResponse(409, "Conflict", "transaction conflict");
+        break;
+      }
+      ++reexecs;
+      exec_metrics_.retries->Inc();
+      // Serial re-execution against the latest committed head (paper §6.4:
+      // business logic may run several times, its transaction is applied
+      // exactly once).
+      retry_tx.emplace(store_.BeginTx());
+      cur = &*retry_tx;
+      resp = ExecuteOnTx(re, request, caller, cur);
+      if (resp.status >= 400) break;
+    }
+    metrics_.GetHistogram("exec.reexecs." + request.method + " " + re.path)
+        ->Record(reexecs);
   }
-
-  ledger::EntryType entry_type =
-      !item.re.is_scripted && item.re.path.rfind("/gov/", 0) == 0
-          ? ledger::EntryType::kGovernance
-          : ledger::EntryType::kUser;
-  uint64_t reexecs = 0;
-  std::optional<kv::Tx> retry_tx;
-  kv::Tx* cur = tx;
-  for (;;) {
-    if (item.re.is_scripted && !cur->has_writes()) {
-      stamp_uncommitted(&resp);
-      break;
-    }
-    auto committed = CommitAndReplicate(cur, entry_type);
-    if (committed.ok()) {
-      resp.headers[http::kTxIdHeader] = committed->ToString();
-      break;
-    }
-    if (committed.status().code() != Status::Code::kAborted) {
-      resp = rpc::ErrorResponse(503, "ServiceUnavailable",
-                                committed.status().message());
-      break;
-    }
-    if (reexecs == 0) exec_metrics_.conflicts->Inc();
-    if (reexecs >= kExecMaxRetries) {
-      exec_metrics_.aborts->Inc();
-      resp = rpc::ErrorResponse(409, "Conflict", "transaction conflict");
-      break;
-    }
-    ++reexecs;
-    exec_metrics_.retries->Inc();
-    // Serial re-execution against the latest committed head (paper §6.4:
-    // business logic may run several times, its transaction is applied
-    // exactly once).
-    retry_tx.emplace(store_.BeginTx());
-    cur = &*retry_tx;
-    resp = ExecuteOnTx(item.re, item.request, item.caller, cur);
-    if (resp.status >= 400) break;
-  }
-  metrics_
-      .GetHistogram("exec.reexecs." + item.request.method + " " + item.re.path)
-      ->Record(reexecs);
+  rpc::RecordEndpointMetrics(&metrics_, request.method, re.path, re.found,
+                             resp.status, handler_us);
   return resp;
 }
 
@@ -1300,12 +1223,7 @@ void Node::InitRecovery(ledger::Ledger restored,
       tree_.AppendBatch(leaf_contents);  // keep the applied prefix's tree
       return;
     }
-    TxDigests digests;
-    digests.write_set = entry.WriteSetDigest();
-    digests.claims = entry.claims_digest;
-    tx_digests_.push_back(digests);
-    leaf_contents.push_back(merkle::TransactionLeafContent(
-        entry.view, entry.seqno, digests.write_set, digests.claims));
+    leaf_contents.push_back(RecordTxDigests(entry));
   }
   // Rebuild the whole tree in one batched pass (4-way SHA-256 kernel).
   tree_.AppendBatch(leaf_contents);

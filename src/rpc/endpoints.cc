@@ -126,12 +126,9 @@ std::optional<http::Response> CheckRequestSchema(
 }
 
 void RecordEndpointMetrics(observe::Registry* reg, const std::string& method,
-                           const std::string& path, int status,
+                           const std::string& path, bool resolved, int status,
                            uint64_t latency_us) {
   if (reg == nullptr) return;
-  std::string key = method + " " + path;
-  observe::Counter* requests = reg->GetCounter("rpc.requests." + key);
-  if (requests != nullptr) requests->Inc();
   const char* klass = "other";
   if (status >= 200 && status < 300) klass = "2xx";
   else if (status >= 300 && status < 400) klass = "3xx";
@@ -140,6 +137,10 @@ void RecordEndpointMetrics(observe::Registry* reg, const std::string& method,
   observe::Counter* by_status =
       reg->GetCounter(std::string("rpc.status.") + klass);
   if (by_status != nullptr) by_status->Inc();
+  if (!resolved) return;
+  std::string key = method + " " + path;
+  observe::Counter* requests = reg->GetCounter("rpc.requests." + key);
+  if (requests != nullptr) requests->Inc();
   observe::Histogram* latency = reg->GetHistogram("rpc.latency_us." + key);
   if (latency != nullptr) latency->Record(latency_us);
 }

@@ -97,15 +97,17 @@ struct EndpointSpec {
   // requests) must leave this unset and run serially.
   bool exec_parallel = false;
   // One-line human summary, surfaced in the generated OpenAPI document.
-  std::string summary;
+  // This and the fields below default to empty ({}), so positional
+  // initializers may stop after read_only or exec_parallel.
+  std::string summary{};
   // Optional JSON schemas (json/schema.h subset). When request_schema is
   // set, the node validates the parsed request body against it and rejects
   // violations with a structured 400 *before* a KV transaction is opened.
   // response_schema is documentation-only (embedded in OpenAPI); responses
   // are not validated on the hot path. Shared pointers because specs are
   // copied into per-request resolution state and schemas can be large.
-  std::shared_ptr<const json::Value> request_schema;
-  std::shared_ptr<const json::Value> response_schema;
+  std::shared_ptr<const json::Value> request_schema{};
+  std::shared_ptr<const json::Value> response_schema{};
 };
 
 class EndpointRegistry {
@@ -154,13 +156,16 @@ http::Response ErrorResponse(int status, const std::string& code,
 std::optional<http::Response> CheckRequestSchema(
     const EndpointSpec& spec, const Result<json::Value>& body);
 
-// Records one executed request into `reg`: a per-endpoint request counter
-// ("rpc.requests.<METHOD path>"), a status-class counter ("rpc.status.2xx"
-// etc.), and a per-endpoint latency histogram ("rpc.latency_us.<METHOD
-// path>"). Latency is wall-clock and write-only -- it never feeds back
-// into execution, so deterministic runs are unaffected by its variance.
+// Records one executed request into `reg`: a status-class counter
+// ("rpc.status.2xx" etc.) and, when the request `resolved` to an endpoint,
+// a per-endpoint request counter ("rpc.requests.<METHOD path>") and
+// latency histogram ("rpc.latency_us.<METHOD path>"). An unresolved
+// request's method and path are the client's own, so per-endpoint series
+// for them would grow the registry without bound. Latency is wall-clock
+// and write-only -- it never feeds back into execution, so deterministic
+// runs are unaffected by its variance.
 void RecordEndpointMetrics(observe::Registry* reg, const std::string& method,
-                           const std::string& path, int status,
+                           const std::string& path, bool resolved, int status,
                            uint64_t latency_us);
 
 }  // namespace ccf::rpc

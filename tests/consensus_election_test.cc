@@ -17,7 +17,7 @@ using consensus::RequestVoteResp;
 // Records outbound messages; everything else is a no-op.
 class RecordingCallbacks : public consensus::RaftCallbacks {
  public:
-  void OnAppend(const LogEntry&) override {}
+  void OnAppendBatch(const std::vector<const LogEntry*>&) override {}
   void OnRollback(uint64_t) override {}
   void OnCommit(uint64_t) override {}
   void OnRoleChange(Role, uint64_t) override {}

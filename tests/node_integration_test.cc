@@ -110,6 +110,50 @@ TEST(ClientReconnect, CallbackMayReissueDuringReconnect) {
   EXPECT_NE(ToString((*retried)->body).find("seven"), std::string::npos);
 }
 
+// A response is owed to the session that received its request. Here the
+// primary answers a forwarded request after the client has re-opened its
+// session to the backup under the same label: that answer must not reach
+// the new session, where it would be taken as the reply to the next
+// request.
+TEST(ClientReconnect, ResponseOwedToTheOldSessionIsDropped) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  h.StartGenesis();
+  ASSERT_NE(h.JoinAndTrust("n1"), nullptr);
+  node::Client* client = h.UserClient("user0", "n1");
+  auto commit = client->Get("/node/commit");
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  ASSERT_EQ(commit->status, 200);
+
+  http::Request nope;
+  nope.method = "POST";
+  nope.path = "/app/nope";
+  std::optional<Result<http::Response>> orphaned;
+  client->SendRequest(std::move(nope), [&](Result<http::Response> r) {
+    orphaned = std::move(r);
+  });
+  client->Connect("n1");
+  ASSERT_TRUE(orphaned.has_value());
+  EXPECT_FALSE(orphaned->ok());
+
+  json::Object msg;
+  msg["id"] = 1;
+  msg["msg"] = "fresh session";
+  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  ASSERT_TRUE(write.ok()) << write.status().ToString();
+  EXPECT_EQ(write->status, 200) << ToString(write->body);
+  EXPECT_TRUE(node::Client::TxIdOf(*write).has_value());
+
+  // Every later call still gets its own answer.
+  ASSERT_TRUE(h.WaitForCommitEverywhere(h.node("n0")->last_seqno()));
+  auto read = client->Get("/app/log?id=1");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->status, 200) << ToString(read->body);
+  auto body = json::Parse(ToString(read->body));
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body->GetString("msg"), "fresh session");
+}
+
 TEST(SingleNodeService, TxStatusReachesCommitted) {
   ServiceHarness h;
   h.AddUser("user0");

@@ -1,7 +1,8 @@
 // Telemetry endpoint tests ("observe" label): GET /node/metrics JSON and
 // Prometheus exposition after a scripted workload, monotonicity across
-// further load, and agreement between the legacy alias endpoints
-// (/node/crypto_ops, /node/historical) and the unified registry.
+// further load, a registry that unmatched requests do not grow, and
+// agreement between the legacy alias endpoints (/node/crypto_ops,
+// /node/historical) and the unified registry.
 
 #include <gtest/gtest.h>
 
@@ -166,6 +167,43 @@ TEST_F(NodeMetricsTest, PrometheusExposition) {
   EXPECT_NE(body.find("ccf_rpc_latency_us_POST__app_log{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(body.find("ccf_crypto_signs"), std::string::npos);
+}
+
+// A request that resolves to no endpoint adds no metric: its method and
+// path are the client's own, so per-endpoint series keyed by them would
+// grow the registry without bound. It still counts in rpc.status.4xx.
+TEST_F(NodeMetricsTest, UnmatchedRequestsAddNoMetrics) {
+  node::Node* n0 = h_.node("n0");
+  node::Client* c = h_.AnonymousClient();
+  auto metric_count = [&] {
+    size_t count = 0;
+    json::Value all = n0->metrics().ToJson();
+    for (const auto& [kind, metrics] : all.AsObject()) {
+      count += metrics.AsObject().size();
+    }
+    return count;
+  };
+  auto warm_up = c->Get("/app/warm-up", 3000);
+  ASSERT_TRUE(warm_up.ok());
+  ASSERT_EQ(warm_up->status, 404);
+  size_t before = metric_count();
+  uint64_t client_errors = n0->metrics().ScalarValue("rpc.status.4xx");
+
+  for (int i = 0; i < 64; ++i) {
+    auto resp = c->Get("/app/unknown-" + std::to_string(i), 3000);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status, 404);
+  }
+  for (int i = 0; i < 16; ++i) {
+    http::Request req;
+    req.method = "VERB" + std::to_string(i);
+    req.path = "/app/log";
+    auto resp = c->Call(std::move(req), 3000);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status, 405);
+  }
+  EXPECT_EQ(metric_count(), before);
+  EXPECT_EQ(n0->metrics().ScalarValue("rpc.status.4xx"), client_errors + 80);
 }
 
 TEST_F(NodeMetricsTest, AliasEndpointsMatchRegistry) {

@@ -140,7 +140,7 @@ class RaftTestNode : public consensus::RaftCallbacks {
 
   // ------------------------------------------------ RaftCallbacks
 
-  void OnAppend(const LogEntry&) override {}
+  void OnAppendBatch(const std::vector<const LogEntry*>&) override {}
   void OnRollback(uint64_t) override { ++rollbacks_; }
   void OnCommit(uint64_t seqno) override {
     for (uint64_t s = last_commit_recorded_ + 1; s <= seqno; ++s) {
