@@ -7,8 +7,11 @@
 //
 // Output: per-(connections, pipeline) rows of throughput and latency
 // percentiles, written to BENCH_net.json (first argument overrides the
-// path) for scripts/bench_diff.py. CCF_BENCH_SMOKE=1 or --smoke shrinks
-// the sweep and duration for CI.
+// path) for scripts/bench_diff.py. Each row also records the elections the
+// cluster held while it ran and the AppendEntries entries sent per
+// request, so a row that straddled an election or a replication storm
+// shows it. CCF_BENCH_SMOKE=1 or --smoke shrinks the sweep and duration
+// for CI.
 
 #include <algorithm>
 #include <atomic>
@@ -52,7 +55,32 @@ struct NetRow {
   double tx_per_s = 0;
   double p50_us = 0;
   double p99_us = 0;
+  uint64_t elections = 0;
+  double entries_sent_per_tx = 0;
 };
+
+// Consensus counters summed over the cluster's nodes.
+struct ConsensusTotals {
+  uint64_t elections = 0;
+  uint64_t entries_sent = 0;
+};
+
+ConsensusTotals ReadConsensusTotals(LiveServiceHarness* h) {
+  ConsensusTotals t;
+  for (const char* id : {"n0", "n1", "n2"}) {
+    h->host(id)->WithNode([&](node::Node* n) {
+      const observe::Registry& reg = n->metrics();
+      if (const auto* c = reg.FindCounter("consensus.elections")) {
+        t.elections += c->value();
+      }
+      if (const auto* hist =
+              reg.FindHistogram("consensus.append_batch_entries")) {
+        t.entries_sent += hist->sum();
+      }
+    });
+  }
+  return t;
+}
 
 double Percentile(std::vector<uint64_t>* lat, double p) {
   if (lat->empty()) return 0;
@@ -124,6 +152,7 @@ Result<NetRow> Measure(LiveServiceHarness* h, TestUser* user,
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   threads.reserve(connections);
+  const ConsensusTotals before = ReadConsensusTotals(h);
   uint64_t t0 = NowUs();
   for (uint64_t c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
@@ -133,6 +162,7 @@ Result<NetRow> Measure(LiveServiceHarness* h, TestUser* user,
   }
   for (auto& t : threads) t.join();
   uint64_t elapsed_us = NowUs() - t0;
+  const ConsensusTotals after = ReadConsensusTotals(h);
   if (failed.load()) return Status::Unavailable("bench connection died");
   if (completed.load() == 0) return Status::Unavailable("no completions");
 
@@ -145,6 +175,10 @@ Result<NetRow> Measure(LiveServiceHarness* h, TestUser* user,
                  static_cast<double>(elapsed_us);
   row.p50_us = Percentile(&all, 0.50);
   row.p99_us = Percentile(&all, 0.99);
+  row.elections = after.elections - before.elections;
+  row.entries_sent_per_tx =
+      static_cast<double>(after.entries_sent - before.entries_sent) /
+      static_cast<double>(completed.load());
   return row;
 }
 
@@ -172,20 +206,26 @@ int Run(int argc, char** argv) {
             : std::vector<Config>{{1, 1}, {1, 8}, {4, 8}, {8, 16}};
   const uint64_t duration_ms = smoke ? 400 : 3000;
 
-  std::printf("%-12s %-10s %12s %10s %10s\n", "connections", "pipeline",
-              "tx/s", "p50 us", "p99 us");
+  std::printf("%-12s %-10s %12s %10s %10s %10s %10s\n", "connections",
+              "pipeline", "tx/s", "p50 us", "p99 us", "elections",
+              "entries/tx");
   std::vector<NetRow> rows;
   for (const Config& cfg : configs) {
     auto row = Measure(&h, user, cfg.connections, cfg.pipeline, duration_ms);
     if (!row.ok()) {
-      std::fprintf(stderr, "measurement failed: %s\n",
-                   row.status().ToString().c_str());
+      std::fprintf(stderr,
+                   "measurement failed: %s (elections so far: %llu)\n",
+                   row.status().ToString().c_str(),
+                   static_cast<unsigned long long>(
+                       ReadConsensusTotals(&h).elections));
       return 1;
     }
-    std::printf("%-12llu %-10llu %12.0f %10.0f %10.0f\n",
+    std::printf("%-12llu %-10llu %12.0f %10.0f %10.0f %10llu %10.2f\n",
                 static_cast<unsigned long long>(row->connections),
                 static_cast<unsigned long long>(row->pipeline),
-                row->tx_per_s, row->p50_us, row->p99_us);
+                row->tx_per_s, row->p50_us, row->p99_us,
+                static_cast<unsigned long long>(row->elections),
+                row->entries_sent_per_tx);
     std::fflush(stdout);
     rows.push_back(*row);
   }
@@ -198,6 +238,8 @@ int Run(int argc, char** argv) {
     o["tx_per_s"] = row.tx_per_s;
     o["p50_us"] = row.p50_us;
     o["p99_us"] = row.p99_us;
+    o["elections"] = row.elections;
+    o["entries_sent_per_tx"] = row.entries_sent_per_tx;
     out_rows.push_back(json::Value(std::move(o)));
   }
   json::Object root;

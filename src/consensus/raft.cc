@@ -190,6 +190,7 @@ void RaftNode::BecomePrimary() {
 
   next_seqno_.clear();
   match_seqno_.clear();
+  streaming_.clear();  // every peer starts probing
   last_response_ms_.clear();
   last_sent_ms_.clear();
   needs_snapshot_.clear();
@@ -390,10 +391,11 @@ Status RaftNode::Replicate(uint64_t seqno, std::shared_ptr<const Bytes> data,
   AppendToLog(std::move(entry));
   if (m_commit_latency_ != nullptr) submit_time_ms_[seqno] = now_ms_;
 
-  // Signature transactions flush eagerly (they gate commit latency);
-  // regular entries ride the next heartbeat or the ack-driven stream
-  // (each successful append_entries response immediately triggers the
-  // next batch), which bounds outbound traffic per tick.
+  // Signature transactions flush eagerly (they gate commit latency).
+  // Regular entries leave with the next heartbeat, signature flush or
+  // acknowledgement: a streaming peer's ack sends it what it has not yet
+  // been sent, once nothing of it is in flight, so each entry reaches each
+  // streaming peer once.
   if (is_signature) {
     BroadcastAppendEntries(/*force=*/true);
   }
@@ -441,6 +443,7 @@ void RaftNode::BroadcastAppendEntries(bool force) {
     }
     if (PeerCaughtUp(peer)) {
       next_seqno_.erase(peer);
+      streaming_.erase(peer);
       last_response_ms_.erase(peer);
       last_sent_ms_.erase(peer);
       peer_commit_.erase(peer);
@@ -472,6 +475,9 @@ void RaftNode::SendAppendEntries(const NodeId& peer) {
   for (uint64_t s = next; s <= end; ++s) {
     req.entries.push_back(EntryAt(s));
   }
+  // A probe leaves next_seqno_ for the peer's answer to move; a stream
+  // moves it past what this message carries, so no later send repeats it.
+  if (streaming_.count(peer) > 0) next_seqno_[peer] = next + req.entries.size();
   if (m_append_batch_ != nullptr) m_append_batch_->Record(req.entries.size());
   last_sent_ms_[peer] = now_ms_;
   cb_->Send(peer, Message{id_, req});
@@ -655,14 +661,19 @@ void RaftNode::HandleAppendEntriesResp(const NodeId& from,
 
   if (resp.success) {
     needs_snapshot_.erase(from);
-    uint64_t prev_match = match_seqno_[from];
-    match_seqno_[from] = std::max(prev_match, resp.match_seqno);
-    next_seqno_[from] = match_seqno_[from] + 1;
+    streaming_.insert(from);
+    uint64_t match = std::max(match_seqno_[from], resp.match_seqno);
+    // An ack never rewinds next_seqno_: what lies between it and the match
+    // is in flight, and a stale or repeated ack says nothing new about it.
+    uint64_t next = std::max(next_seqno_[from], match + 1);
+    match_seqno_[from] = match;
+    next_seqno_[from] = next;
     AdvanceCommitAsPrimary();
-    if (last_seqno() >= next_seqno_[from]) {
-      SendAppendEntries(from);  // keep streaming to lagging peers
-    }
+    // Stream on only once nothing of this peer is in flight, so each peer
+    // has at most one ack-driven stream whatever else sent to it.
+    if (next == match + 1 && last_seqno() >= next) SendAppendEntries(from);
   } else {
+    streaming_.erase(from);  // probe again from the hint
     // Back off using the responder's hint (paper §4.2: "utilizing the
     // information provided by the backup").
     uint64_t hint_next = resp.match_seqno + 1;

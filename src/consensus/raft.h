@@ -146,6 +146,12 @@ class RaftNode {
   const std::set<NodeId>& learners() const { return learners_; }
   // True when a peer's log and commit knowledge match ours.
   bool PeerCaughtUp(const NodeId& peer) const;
+  // True while the primary streams to `peer` rather than probing it: the
+  // peer acknowledged an append_entries in this view and has rejected none
+  // since. Only meaningful on the primary.
+  bool PeerStreaming(const NodeId& peer) const {
+    return streaming_.count(peer) > 0;
+  }
 
   // ------------------------------------------------- Log compaction
 
@@ -250,9 +256,16 @@ class RaftNode {
   std::set<NodeId> learners_;
   std::set<NodeId> needs_snapshot_;  // primary-side laggard flags
 
-  // Primary state.
+  // Primary state. next_seqno_ is the first entry a peer is still to be
+  // sent, match_seqno_ the last it acknowledged. A peer is probing until it
+  // acknowledges an append_entries in this view, and again after any
+  // rejection: each probe carries one batch from next_seqno_ and leaves it
+  // in place. A streaming peer (in streaming_) has next_seqno_ advanced past
+  // every send, and its ack sends more only once nothing of it is in flight
+  // (match + 1 == next), so each entry reaches it once.
   std::map<NodeId, uint64_t> next_seqno_;
   std::map<NodeId, uint64_t> match_seqno_;
+  std::set<NodeId> streaming_;
   std::map<NodeId, uint64_t> peer_commit_;
   std::map<NodeId, uint64_t> last_response_ms_;
   std::map<NodeId, uint64_t> last_sent_ms_;

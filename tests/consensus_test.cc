@@ -170,15 +170,17 @@ TEST(RaftCluster3, PartitionedPrimaryStepsDownAndRejoins) {
       5000));
   ASSERT_TRUE(new_primary->ReplicateUser("majority side").ok());
   ASSERT_TRUE(new_primary->ReplicateSignature().ok());
+  const uint64_t new_sig = new_primary->raft().last_seqno();
 
   // Heal: the old primary steps down and adopts the new log; its
-  // uncommitted isolated entries are rolled back.
+  // uncommitted isolated entries are rolled back. Wait for the new
+  // primary's signature to commit there: both nodes' commit points are
+  // still equal at heal time, before any new-view entry reached it.
   cluster.env().Isolate(old_primary->id(), false);
   ASSERT_TRUE(cluster.env().RunUntil(
       [&] {
         return !old_primary->raft().IsPrimary() &&
-               old_primary->raft().commit_seqno() ==
-                   new_primary->raft().commit_seqno();
+               old_primary->raft().commit_seqno() >= new_sig;
       },
       5000));
   EXPECT_GT(old_primary->rollbacks(), 0u);
@@ -304,6 +306,138 @@ TEST(RaftCluster5, MessageLossStillMakesProgress) {
         return p != nullptr && p->raft().commit_seqno() > target;
       },
       20000));
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+}
+
+// ------------------------------------------------------ replication stream
+
+constexpr int kStreamEntries = 2000;
+
+std::vector<NodeId> Backups(const RaftTestNode& primary) {
+  std::vector<NodeId> backups;
+  for (int i = 0; i < 3; ++i) {
+    if (RaftCluster::Name(i) != primary.id()) {
+      backups.push_back(RaftCluster::Name(i));
+    }
+  }
+  return backups;
+}
+
+// Every entry the primary appended, once, plus at most one batch for the
+// probe that opened the stream.
+uint64_t OnceBound(const RaftTestNode& primary) {
+  return primary.raft().last_seqno() + RaftConfig{}.max_batch_entries;
+}
+
+// Appends kStreamEntries user entries, three per simulated millisecond,
+// through whichever node is primary (the harness adds a signature every
+// five), then a signature. Returns the primary once that signature has
+// committed on every node, else nullptr.
+RaftTestNode* StreamAndCommit(RaftCluster* cluster) {
+  for (int i = 0; i < kStreamEntries; cluster->env().Step(1)) {
+    RaftTestNode* primary = cluster->GetPrimary();
+    for (int k = 0; k < 3 && primary != nullptr; ++k) {
+      if (primary->ReplicateUser("s" + std::to_string(i)).ok()) ++i;
+    }
+  }
+  RaftTestNode* primary = cluster->WaitForPrimary();
+  if (primary == nullptr || !primary->ReplicateSignature().ok()) {
+    return nullptr;
+  }
+  if (!cluster->WaitForCommitEverywhere(primary->raft().last_seqno(),
+                                        10000)) {
+    return nullptr;
+  }
+  return primary;
+}
+
+TEST(RaftReplication, EachEntryReachesEachBackupOnce) {
+  RaftCluster cluster(3);
+  RaftTestNode* primary = cluster.WaitForPrimary();
+  ASSERT_NE(primary, nullptr);
+  ASSERT_EQ(StreamAndCommit(&cluster), primary);
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+  for (const NodeId& backup : Backups(*primary)) {
+    EXPECT_LE(primary->entries_sent(backup), OnceBound(*primary)) << backup;
+    EXPECT_TRUE(primary->raft().PeerStreaming(backup)) << backup;
+  }
+}
+
+TEST(RaftReplication, StreamSurvivesDuplicatedMessages) {
+  // Duplicates take their own, non-FIFO path: stale and repeated acks
+  // reach the primary, and a copy that overtakes its predecessors draws a
+  // rejection.
+  RaftCluster cluster(3);
+  sim::LinkFaults faults;
+  faults.duplicate = 0.2;
+  cluster.env().SetFaultsAmong({"n0", "n1", "n2"}, faults);
+  ASSERT_NE(cluster.WaitForPrimary(), nullptr);
+  RaftTestNode* primary = StreamAndCommit(&cluster);
+  ASSERT_NE(primary, nullptr);
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+  for (auto& [id, node] : cluster.nodes()) {
+    EXPECT_EQ(node->raft().last_seqno(), primary->raft().last_seqno()) << id;
+    // A stale or repeated ack starts no second stream: only the few probes
+    // that rejections draw come on top of the one copy of each entry.
+    EXPECT_LE(primary->entries_sent(id), 2 * primary->raft().last_seqno())
+        << id;
+  }
+}
+
+TEST(RaftReplication, BackupLosingAppendEntriesIsProbedBackAndCatchesUp) {
+  RaftCluster cluster(3);
+  RaftTestNode* primary = cluster.WaitForPrimary();
+  ASSERT_NE(primary, nullptr);
+  const NodeId hit = Backups(*primary)[0];
+  const NodeId other = Backups(*primary)[1];
+  sim::LinkFaults faults;
+  faults.drop = 0.1;
+  cluster.env().SetLinkFaults(primary->id(), hit, faults);
+  ASSERT_EQ(StreamAndCommit(&cluster), primary);
+  // A lost AppendEntries leaves a gap the next one exposes: the hit backup
+  // rejects it, the primary probes from the hint, and streaming resumes.
+  EXPECT_GT(cluster.node(hit).rejections_sent(), 0u);
+  EXPECT_EQ(cluster.node(hit).raft().last_seqno(),
+            primary->raft().last_seqno());
+  EXPECT_TRUE(primary->raft().PeerStreaming(hit));
+  // The other backup's stream is untouched.
+  EXPECT_LE(primary->entries_sent(other), OnceBound(*primary));
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+}
+
+TEST(RaftReplication, RemovedBackupLeavesTheStreamOnceCaughtUp) {
+  RaftCluster cluster(3);
+  RaftTestNode* primary = cluster.WaitForPrimary();
+  ASSERT_NE(primary, nullptr);
+  ASSERT_TRUE(primary->ReplicateUser("before").ok());
+  ASSERT_TRUE(primary->ReplicateSignature().ok());
+  ASSERT_TRUE(cluster.WaitForCommitEverywhere(primary->raft().last_seqno()));
+  const NodeId removed = Backups(*primary)[0];
+  ASSERT_TRUE(primary->raft().PeerStreaming(removed));
+
+  std::set<NodeId> remaining = {"n0", "n1", "n2"};
+  remaining.erase(removed);
+  ASSERT_TRUE(primary->ReplicateReconfig(remaining).ok());
+  const uint64_t target = primary->raft().last_seqno();
+  // The removed node learns that its removal committed, then the primary
+  // drops it with the rest of its replication state.
+  ASSERT_TRUE(cluster.env().RunUntil(
+      [&] {
+        return cluster.node(removed).raft().commit_seqno() >= target &&
+               !primary->raft().PeerStreaming(removed);
+      },
+      5000));
+  EXPECT_GE(primary->raft().MinPeerMatch(), target);
+
+  // Nothing more goes to it.
+  const uint64_t sent_to_removed = primary->entries_sent(removed);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(primary->ReplicateUser("after" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(primary->ReplicateSignature().ok());
+  ASSERT_TRUE(cluster.WaitForCommitEverywhere(primary->raft().last_seqno()));
+  EXPECT_EQ(primary->entries_sent(removed), sent_to_removed);
+  EXPECT_FALSE(primary->raft().PeerStreaming(removed));
   EXPECT_TRUE(cluster.AllInvariantsHold());
 }
 

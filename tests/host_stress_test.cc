@@ -61,7 +61,7 @@ TEST(HostStress, ConnectRequestDisconnectChurn) {
           req.headers["content-type"] = "application/json";
           req.body = ToBytes(json::Value(std::move(body)).Dump());
           client.SendRequest(std::move(req),
-                             [&](Result<http::Response> resp) {
+                             [&](const Result<http::Response>& resp) {
                                if (resp.ok() && resp->status == 200) {
                                  ok_responses.fetch_add(1);
                                  got.fetch_add(1);

@@ -17,7 +17,7 @@ namespace ccf::testing {
 namespace {
 
 bool Committed(ServiceHarness* h, uint64_t seqno) {
-  for (const std::string& id : {"n0", "n1", "n2"}) {
+  for (const char* id : {"n0", "n1", "n2"}) {
     node::Node* n = h->node(id);
     if (n == nullptr || n->commit_seqno() < seqno) return false;
   }

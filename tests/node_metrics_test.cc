@@ -16,7 +16,7 @@ namespace {
 bool AllQuiesced(ServiceHarness* h) {
   uint64_t last = 0;
   bool first = true;
-  for (const std::string& id : {"n0", "n1", "n2"}) {
+  for (const char* id : {"n0", "n1", "n2"}) {
     node::Node* n = h->node(id);
     if (n == nullptr || !n->has_joined()) return false;
     if (first) {

@@ -137,6 +137,13 @@ class RaftTestNode : public consensus::RaftCallbacks {
     return role_changes_;
   }
   bool committed_record_violated() const { return committed_violated_; }
+  // Log entries this node has put on the wire to `to` in AppendEntries.
+  uint64_t entries_sent(const NodeId& to) const {
+    auto it = entries_sent_.find(to);
+    return it != entries_sent_.end() ? it->second : 0;
+  }
+  // AppendEntries this node has rejected.
+  size_t rejections_sent() const { return rejections_sent_; }
 
   // ------------------------------------------------ RaftCallbacks
 
@@ -161,6 +168,12 @@ class RaftTestNode : public consensus::RaftCallbacks {
     if (role == Role::kPrimary) need_signature_ = true;
   }
   void Send(const NodeId& to, const Message& msg) override {
+    if (const auto* ae = std::get_if<consensus::AppendEntriesReq>(&msg.body)) {
+      entries_sent_[to] += ae->entries.size();
+    } else if (const auto* r =
+                   std::get_if<consensus::AppendEntriesResp>(&msg.body)) {
+      if (!r->success) ++rejections_sent_;
+    }
     env_->Send(id_, to, msg.Serialize());
   }
 
@@ -176,6 +189,8 @@ class RaftTestNode : public consensus::RaftCallbacks {
   uint64_t last_commit_recorded_ = 0;
   size_t rollbacks_ = 0;
   bool committed_violated_ = false;
+  std::map<NodeId, uint64_t> entries_sent_;
+  size_t rejections_sent_ = 0;
   std::vector<std::pair<Role, uint64_t>> role_changes_;
 };
 
