@@ -11,6 +11,7 @@
 
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 #include "crypto/sign.h"
 #include "merkle/merkle.h"
@@ -74,6 +75,58 @@ void BM_AesGcmSeal(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AesGcmSeal)->Arg(64)->Arg(1024)->Arg(65536);
+
+// Portable vs hardware kernels for the same call (the default picks the
+// hardware one where the CPU has it). The hardware rows report an error
+// instead of a time on CPUs without the instructions.
+void BM_AesGcmSealKernel(benchmark::State& state, crypto::AesKernel kernel) {
+  crypto::Drbg drbg("bench", 1);
+  crypto::AesGcm gcm(drbg.Generate(32), kernel);
+  if (kernel == crypto::AesKernel::kFastest && !gcm.hardware()) {
+    state.SkipWithError("CPU lacks AES-NI/PCLMULQDQ");
+    return;
+  }
+  Bytes iv = drbg.Generate(12);
+  Bytes data = drbg.Generate(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gcm.Seal(iv, data, {}));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_AesGcmSealKernel, portable, crypto::AesKernel::kPortable)
+    ->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_AesGcmSealKernel, hardware, crypto::AesKernel::kFastest)
+    ->Arg(64)->Arg(1024)->Arg(65536);
+
+// The SHA-NI kernel, or nullptr where the CPU lacks it.
+crypto::internal::Sha256CompressFn ShaNiOrNull() {
+#if defined(__x86_64__)
+  if (crypto::internal::CpuHasSha()) {
+    return crypto::internal::Sha256CompressShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+void BM_Sha256Kernel(benchmark::State& state,
+                     crypto::internal::Sha256CompressFn compress) {
+  if (compress == nullptr) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  crypto::Drbg drbg("bench", 0);
+  Bytes data = drbg.Generate(state.range(0));
+  for (auto _ : state) {
+    crypto::Sha256 h(compress);
+    h.Update(data);
+    benchmark::DoNotOptimize(h.Finish());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha256Kernel, portable,
+                  crypto::internal::Sha256CompressPortable)
+    ->Arg(64)->Arg(1024);
+BENCHMARK_CAPTURE(BM_Sha256Kernel, hardware, ShaNiOrNull())->Arg(64)->Arg(1024);
 
 void BM_SchnorrSign(benchmark::State& state) {
   crypto::KeyPair kp = crypto::KeyPair::FromSeed(ToBytes("bench"));
@@ -216,12 +269,37 @@ void BM_MerkleProof(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleProof)->Arg(1000)->Arg(100000);
 
-// Run before any timing: the batch kernels must (a) be bit-equivalent to
+// Run before any timing: the portable and hardware kernels must produce
+// the same bytes, and the batch kernels must (a) be bit-equivalent to
 // their scalar counterparts and (b) actually engage (stats counters move).
 // A silent fallback to the scalar path would make the ablation numbers
 // meaningless.
+bool AssertKernelsAgree(crypto::Drbg* drbg) {
+  for (size_t len : {0u, 1u, 16u, 64u, 129u, 1024u, 4099u}) {
+    Bytes key = drbg->Generate(32);
+    Bytes iv = drbg->Generate(12);
+    Bytes data = drbg->Generate(len);
+    Bytes aad = drbg->Generate(len % 37);
+    crypto::AesGcm fastest(key), portable(key, crypto::AesKernel::kPortable);
+    if (fastest.Seal(iv, data, aad) != portable.Seal(iv, data, aad)) {
+      std::fprintf(stderr, "selftest: AES-GCM kernels disagree at %zu B\n",
+                   len);
+      return false;
+    }
+    crypto::Sha256 sw(crypto::internal::Sha256CompressPortable);
+    sw.Update(data);
+    if (crypto::Sha256::Hash(data) != sw.Finish()) {
+      std::fprintf(stderr, "selftest: SHA-256 kernels disagree at %zu B\n",
+                   len);
+      return false;
+    }
+  }
+  return true;
+}
+
 bool AssertBatchKernelsEngage() {
   crypto::Drbg drbg("bench-selftest", 0);
+  if (!AssertKernelsAgree(&drbg)) return false;
 
   // Sha256x4 == 4 independent Sha256.
   for (size_t len : {0u, 1u, 55u, 56u, 64u, 300u}) {

@@ -24,6 +24,7 @@
 #ifndef CCF_CONSENSUS_RAFT_H_
 #define CCF_CONSENSUS_RAFT_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -237,7 +238,7 @@ class RaftNode {
   std::optional<NodeId> leader_;
 
   // Log entries for seqnos (base_seqno_, base_seqno_ + log_.size()].
-  std::vector<LogEntry> log_;
+  std::deque<LogEntry> log_;
   uint64_t base_seqno_ = 0;
   uint64_t base_view_ = 0;
   uint64_t commit_seqno_ = 0;

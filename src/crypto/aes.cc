@@ -1,7 +1,10 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#include "crypto/kernels.h"
 
 namespace ccf::crypto {
 
@@ -75,8 +78,15 @@ const SBoxes& GetSBoxes() {
 
 }  // namespace
 
-Aes256::Aes256(ByteSpan key) {
+Aes256::Aes256(ByteSpan key, AesKernel kernel) {
   assert(key.size() == kAes256KeySize);
+  hardware_ = kernel == AesKernel::kFastest && internal::CpuHasAesClmul();
+#if defined(__x86_64__)
+  if (hardware_) {
+    internal::AesNiExpandKey256(key.data(), round_keys_);
+    return;
+  }
+#endif
   const SBoxes& sb = GetSBoxes();
 
   constexpr int kNk = 8;          // 256-bit key = 8 words.
@@ -115,6 +125,12 @@ Aes256::Aes256(ByteSpan key) {
 }
 
 void Aes256::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (hardware_) {
+    internal::AesNiEncryptBlock(round_keys_, in, out);
+    return;
+  }
+#endif
   // T-table implementation: each round is 16 table lookups and XORs.
   const SBoxes& sb = GetSBoxes();
   auto load_be = [](const uint8_t* p) {
@@ -176,6 +192,12 @@ void Aes256::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 void Aes256::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (hardware_) {
+    internal::AesNiDecryptBlock(round_keys_, in, out);
+    return;
+  }
+#endif
   const SBoxes& sb = GetSBoxes();
   uint8_t s[16];
   for (int i = 0; i < 16; ++i) s[i] = in[i] ^ round_keys_[16 * kRounds + i];
@@ -206,6 +228,28 @@ void Aes256::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
     }
   }
   std::memcpy(out, s, 16);
+}
+
+void Aes256::Ctr32Xor(const uint8_t ctr[16], ByteSpan in, uint8_t* out) const {
+#if defined(__x86_64__)
+  if (hardware_) {
+    internal::AesNiCtr32Xor(round_keys_, ctr, in.data(), in.size(), out);
+    return;
+  }
+#endif
+  uint8_t block[16];
+  std::memcpy(block, ctr, 16);
+  for (size_t off = 0; off < in.size(); off += 16) {
+    for (int i = 15; i >= 12; --i) {
+      if (++block[i] != 0) break;
+    }
+    uint8_t keystream[16];
+    EncryptBlock(block, keystream);
+    size_t n = std::min<size_t>(16, in.size() - off);
+    for (size_t i = 0; i < n; ++i) {
+      out[off + i] = in[off + i] ^ keystream[i];
+    }
+  }
 }
 
 }  // namespace ccf::crypto

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/kernels.h"
+
 namespace ccf::crypto {
 
 namespace {
@@ -31,21 +33,21 @@ void GfMul128(const uint8_t x[16], const uint8_t y[16], uint8_t out[16]) {
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<uint8_t>(z_lo >> (56 - 8 * i));
 }
 
-void Inc32(uint8_t block[16]) {
-  for (int i = 15; i >= 12; --i) {
-    if (++block[i] != 0) break;
-  }
-}
-
 void PutBe64(uint64_t v, uint8_t* out) {
   for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
 }
 
 }  // namespace
 
-AesGcm::AesGcm(ByteSpan key) : aes_(key) {
+AesGcm::AesGcm(ByteSpan key, AesKernel kernel) : aes_(key, kernel) {
   uint8_t zero[16] = {0};
   aes_.EncryptBlock(zero, h_);
+#if defined(__x86_64__)
+  if (aes_.hardware()) {
+    internal::ClmulGhashInit(h_, h_powers_);
+    return;
+  }
+#endif
 
   // Htable[j] = (4-bit value j in the leading nibble) * H, via the
   // (slow, known-correct) bit-serial multiply.
@@ -99,6 +101,19 @@ void AesGcm::GMultH(uint64_t* io_hi, uint64_t* io_lo) const {
 }
 
 void AesGcm::Ghash(ByteSpan aad, ByteSpan ciphertext, uint8_t out[16]) const {
+  uint8_t lens[16];
+  PutBe64(aad.size() * 8, lens);
+  PutBe64(ciphertext.size() * 8, lens + 8);
+#if defined(__x86_64__)
+  if (aes_.hardware()) {
+    std::memset(out, 0, 16);
+    internal::ClmulGhashUpdate(h_powers_, out, aad.data(), aad.size());
+    internal::ClmulGhashUpdate(h_powers_, out, ciphertext.data(),
+                               ciphertext.size());
+    internal::ClmulGhashUpdate(h_powers_, out, lens, 16);
+    return;
+  }
+#endif
   uint64_t y_hi = 0, y_lo = 0;
   auto absorb = [&](ByteSpan data) {
     for (size_t off = 0; off < data.size(); off += 16) {
@@ -115,26 +130,9 @@ void AesGcm::Ghash(ByteSpan aad, ByteSpan ciphertext, uint8_t out[16]) const {
   };
   absorb(aad);
   absorb(ciphertext);
-  uint8_t lens[16];
-  PutBe64(aad.size() * 8, lens);
-  PutBe64(ciphertext.size() * 8, lens + 8);
   absorb(ByteSpan(lens, 16));
   for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(y_hi >> (56 - 8 * i));
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<uint8_t>(y_lo >> (56 - 8 * i));
-}
-
-void AesGcm::CtrCrypt(const uint8_t j0[16], ByteSpan in, uint8_t* out) const {
-  uint8_t ctr[16];
-  std::memcpy(ctr, j0, 16);
-  for (size_t off = 0; off < in.size(); off += 16) {
-    Inc32(ctr);
-    uint8_t keystream[16];
-    aes_.EncryptBlock(ctr, keystream);
-    size_t n = std::min<size_t>(16, in.size() - off);
-    for (size_t i = 0; i < n; ++i) {
-      out[off + i] = in[off + i] ^ keystream[i];
-    }
-  }
 }
 
 Bytes AesGcm::Seal(ByteSpan iv, ByteSpan plaintext, ByteSpan aad) const {
@@ -144,7 +142,7 @@ Bytes AesGcm::Seal(ByteSpan iv, ByteSpan plaintext, ByteSpan aad) const {
   j0[15] = 1;
 
   Bytes out(plaintext.size() + kGcmTagSize);
-  CtrCrypt(j0, plaintext, out.data());
+  aes_.Ctr32Xor(j0, plaintext, out.data());
 
   uint8_t s[16];
   Ghash(aad, ByteSpan(out.data(), plaintext.size()), s);
@@ -182,7 +180,7 @@ Result<Bytes> AesGcm::Open(ByteSpan iv, ByteSpan sealed, ByteSpan aad) const {
   }
 
   Bytes out(ct_len);
-  CtrCrypt(j0, ciphertext, out.data());
+  aes_.Ctr32Xor(j0, ciphertext, out.data());
   return out;
 }
 

@@ -1,18 +1,23 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/buffer.h"
+#include "crypto/kernels.h"
 
 namespace ccf::crypto {
 
-Sha256Digest HmacSha256(ByteSpan key, ByteSpan data) {
+Sha256Digest internal::HmacSha256With(Sha256CompressFn compress,
+                                      ByteSpan key, ByteSpan data) {
   uint8_t k[64] = {0};
   if (key.size() > 64) {
-    Sha256Digest kd = Sha256::Hash(key);
+    Sha256 kh(compress);
+    kh.Update(key);
+    Sha256Digest kd = kh.Finish();
     std::memcpy(k, kd.data(), kd.size());
   } else {
-    std::memcpy(k, key.data(), key.size());
+    std::copy(key.begin(), key.end(), k);  // key.data() may be null
   }
 
   uint8_t ipad[64], opad[64];
@@ -21,15 +26,20 @@ Sha256Digest HmacSha256(ByteSpan key, ByteSpan data) {
     opad[i] = k[i] ^ 0x5c;
   }
 
-  Sha256 inner;
+  Sha256 inner(compress);
   inner.Update(ByteSpan(ipad, 64));
   inner.Update(data);
   Sha256Digest inner_digest = inner.Finish();
 
-  Sha256 outer;
+  Sha256 outer(compress);
   outer.Update(ByteSpan(opad, 64));
   outer.Update(inner_digest);
   return outer.Finish();
+}
+
+Sha256Digest HmacSha256(ByteSpan key, ByteSpan data) {
+  return internal::HmacSha256With(internal::FastestSha256Compress(), key,
+                                  data);
 }
 
 Bytes Hkdf(ByteSpan ikm, ByteSpan salt, ByteSpan info, size_t out_len) {

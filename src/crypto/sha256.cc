@@ -2,13 +2,16 @@
 
 #include <cstring>
 
+#include "crypto/kernels.h"
+
 namespace ccf::crypto {
 
-namespace {
+namespace internal {
 
 // FIPS 180-4 §4.2.2 round constants: first 32 bits of the fractional parts
-// of the cube roots of the first 64 primes.
-constexpr uint32_t kK[64] = {
+// of the cube roots of the first 64 primes. Aligned so the SHA-NI kernel
+// loads four at a time.
+alignas(16) const uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -22,31 +25,15 @@ constexpr uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
+namespace {
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
 }  // namespace
 
-void Sha256::Reset() {
-  // FIPS 180-4 §5.3.3 initial hash value.
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  total_len_ = 0;
-  buf_len_ = 0;
-}
-
-void Sha256::Compress(const uint8_t* block) { CompressBlocks(block, 1); }
-
-void Sha256::CompressBlocks(const uint8_t* data, size_t n) {
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* data, size_t n) {
   // Hoist the chaining state into locals for the whole run so consecutive
   // blocks don't round-trip through memory.
-  uint32_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  uint32_t s4 = state_[4], s5 = state_[5], s6 = state_[6], s7 = state_[7];
+  uint32_t s0 = state[0], s1 = state[1], s2 = state[2], s3 = state[3];
+  uint32_t s4 = state[4], s5 = state[5], s6 = state[6], s7 = state[7];
   for (size_t blk = 0; blk < n; ++blk, data += 64) {
     uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
@@ -65,7 +52,7 @@ void Sha256::CompressBlocks(const uint8_t* data, size_t n) {
     for (int i = 0; i < 64; ++i) {
       uint32_t x1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
       uint32_t ch = (e & f) ^ (~e & g);
-      uint32_t t1 = h + x1 + ch + kK[i] + w[i];
+      uint32_t t1 = h + x1 + ch + kSha256K[i] + w[i];
       uint32_t x0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
       uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       uint32_t t2 = x0 + maj;
@@ -87,17 +74,46 @@ void Sha256::CompressBlocks(const uint8_t* data, size_t n) {
     s6 += g;
     s7 += h;
   }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-  state_[4] = s4;
-  state_[5] = s5;
-  state_[6] = s6;
-  state_[7] = s7;
+  state[0] = s0;
+  state[1] = s1;
+  state[2] = s2;
+  state[3] = s3;
+  state[4] = s4;
+  state[5] = s5;
+  state[6] = s6;
+  state[7] = s7;
+}
+
+Sha256CompressFn FastestSha256Compress() {
+#if defined(__x86_64__)
+  static const Sha256CompressFn fastest =
+      CpuHasSha() ? Sha256CompressShaNi : Sha256CompressPortable;
+  return fastest;
+#else
+  return Sha256CompressPortable;
+#endif
+}
+
+}  // namespace internal
+
+Sha256::Sha256() : Sha256(internal::FastestSha256Compress()) {}
+
+void Sha256::Reset() {
+  // FIPS 180-4 §5.3.3 initial hash value.
+  state_[0] = 0x6a09e667;
+  state_[1] = 0xbb67ae85;
+  state_[2] = 0x3c6ef372;
+  state_[3] = 0xa54ff53a;
+  state_[4] = 0x510e527f;
+  state_[5] = 0x9b05688c;
+  state_[6] = 0x1f83d9ab;
+  state_[7] = 0x5be0cd19;
+  total_len_ = 0;
+  buf_len_ = 0;
 }
 
 void Sha256::Update(ByteSpan data) {
+  if (data.empty()) return;  // its data() may be null, which memcpy rejects
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {
@@ -106,14 +122,14 @@ void Sha256::Update(ByteSpan data) {
     buf_len_ += take;
     off = take;
     if (buf_len_ == sizeof(buf_)) {
-      Compress(buf_);
+      compress_(state_, buf_, 1);
       buf_len_ = 0;
     }
   }
   // Whole blocks compress directly from the caller's span; the internal
   // buffer only ever holds a partial head (above) or tail (below).
   if (size_t whole = (data.size() - off) / 64; whole > 0) {
-    CompressBlocks(data.data() + off, whole);
+    compress_(state_, data.data() + off, whole);
     off += whole * 64;
   }
   if (off < data.size()) {

@@ -1,4 +1,5 @@
-// 4-way interleaved multi-buffer SHA-256 (see sha256.h).
+// 4-way interleaved multi-buffer SHA-256, the portable kernel behind
+// Sha256x4 (see sha256.h).
 //
 // Layout: every working variable is a 4-lane array indexed [lane], and every
 // round body is a `for (lane)` loop over plain uint32_t ops. The four
@@ -6,28 +7,17 @@
 // a..h dependency chains, and with SSE2/NEON the compiler vectorizes each
 // lane loop into one 4x32-bit operation. No intrinsics, no platform gates.
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace ccf::crypto {
 
-namespace {
+namespace internal {
 
-// FIPS 180-4 §4.2.2 round constants (same table as sha256.cc).
-constexpr uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
+namespace {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
@@ -67,7 +57,7 @@ void Compress4(uint32_t state[8][4], const uint8_t* const blocks[4]) {
     for (int l = 0; l < 4; ++l) {
       uint32_t s1 = Rotr(e[l], 6) ^ Rotr(e[l], 11) ^ Rotr(e[l], 25);
       uint32_t ch = (e[l] & f[l]) ^ (~e[l] & g[l]);
-      uint32_t t1 = h[l] + s1 + ch + kK[i] + w[i][l];
+      uint32_t t1 = h[l] + s1 + ch + kSha256K[i] + w[i][l];
       uint32_t s0 = Rotr(a[l], 2) ^ Rotr(a[l], 13) ^ Rotr(a[l], 22);
       uint32_t maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
       uint32_t t2 = s0 + maj;
@@ -96,7 +86,8 @@ void Compress4(uint32_t state[8][4], const uint8_t* const blocks[4]) {
 
 }  // namespace
 
-void Sha256x4(const uint8_t* const msgs[4], size_t len, Sha256Digest out[4]) {
+void Sha256x4Portable(const uint8_t* const msgs[4], size_t len,
+                      Sha256Digest out[4]) {
   // FIPS 180-4 §5.3.3 initial hash value, broadcast to all four lanes.
   static constexpr uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                       0xa54ff53a, 0x510e527f, 0x9b05688c,
@@ -120,7 +111,7 @@ void Sha256x4(const uint8_t* const msgs[4], size_t len, Sha256Digest out[4]) {
   uint8_t tail[4][128];
   uint64_t bit_len = static_cast<uint64_t>(len) * 8;
   for (int l = 0; l < 4; ++l) {
-    std::memcpy(tail[l], msgs[l] + 64 * whole, rem);
+    std::copy_n(msgs[l] + 64 * whole, rem, tail[l]);  // msgs[l] may be null
     tail[l][rem] = 0x80;
     std::memset(tail[l] + rem + 1, 0, tail_len - rem - 1 - 8);
     for (int i = 0; i < 8; ++i) {
@@ -140,6 +131,16 @@ void Sha256x4(const uint8_t* const msgs[4], size_t len, Sha256Digest out[4]) {
       out[l][4 * i + 3] = static_cast<uint8_t>(state[i][l]);
     }
   }
+}
+
+}  // namespace internal
+
+void Sha256x4(const uint8_t* const msgs[4], size_t len, Sha256Digest out[4]) {
+  if (internal::CpuHasSha()) {
+    for (int l = 0; l < 4; ++l) out[l] = Sha256::Hash(ByteSpan(msgs[l], len));
+    return;
+  }
+  internal::Sha256x4Portable(msgs, len, out);
 }
 
 }  // namespace ccf::crypto

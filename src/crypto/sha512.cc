@@ -179,6 +179,7 @@ void Sha512::Compress(const uint8_t* block) {
 }
 
 void Sha512::Update(ByteSpan data) {
+  if (data.empty()) return;  // its data() may be null, which memcpy rejects
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {

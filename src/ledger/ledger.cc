@@ -113,7 +113,7 @@ Status Ledger::RetireBelow(uint64_t horizon) {
 
 namespace {
 
-Status WriteChunk(const std::string& path, const std::vector<Entry>& entries,
+Status WriteChunk(const std::string& path, const std::deque<Entry>& entries,
                   size_t first_idx, size_t last_idx) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {

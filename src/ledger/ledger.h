@@ -15,6 +15,7 @@
 #ifndef CCF_LEDGER_LEDGER_H_
 #define CCF_LEDGER_LEDGER_H_
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -79,11 +80,15 @@ class Ledger {
   // is an ok no-op; a horizon past the tail is a FailedPrecondition.
   Status RetireBelow(uint64_t horizon);
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  const std::deque<Entry>& entries() const { return entries_; }
 
  private:
   uint64_t base_seqno_ = 0;
-  std::vector<Entry> entries_;
+  // A deque, as are the Raft log, the Merkle levels and the node's
+  // per-seqno digests: it grows in fixed-size blocks instead of doubling
+  // (no heap jumps at powers of two), and RetireBelow erases from the
+  // front without moving the tail.
+  std::deque<Entry> entries_;
 };
 
 // ------------------------------------------------------- Physical files

@@ -160,8 +160,8 @@ void MerkleTree::AppendLeafHashes(std::span<const Digest> leaves) {
       if (target == 0) break;
       levels_.emplace_back();
     }
-    const std::vector<Digest>& child = levels_[h];
-    std::vector<Digest>& parent = levels_[h + 1];
+    const std::deque<Digest>& child = levels_[h];
+    std::deque<Digest>& parent = levels_[h + 1];
     size_t j = parent.size();
     if (j >= target) break;  // nothing new at this level => none above
     uint8_t buf[4][65];

@@ -13,6 +13,7 @@
 #define CCF_MERKLE_MERKLE_H_
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/bytes.h"
@@ -104,7 +105,7 @@ class MerkleTree {
 
   // levels_[h][i] = hash of leaves [i*2^h, (i+1)*2^h), stored only for
   // complete subtrees. levels_[0] holds the leaf digests themselves.
-  std::vector<std::vector<Digest>> levels_;
+  std::vector<std::deque<Digest>> levels_;
   Stats stats_;
 };
 

@@ -12,6 +12,12 @@ void Indexer::Install(std::shared_ptr<Strategy> strategy) {
 }
 
 size_t Indexer::Tick(uint64_t commit_seqno, const DecodeFn& decode) {
+  // Nothing would consume a decoded entry, so decode none. A strategy
+  // installed later starts from indexed_upto_ either way.
+  if (strategies_.empty()) {
+    indexed_upto_ = std::max(indexed_upto_, commit_seqno);
+    return 0;
+  }
   size_t fed = 0;
   while (indexed_upto_ < commit_seqno && fed < entries_per_tick_) {
     uint64_t seqno = indexed_upto_ + 1;

@@ -58,7 +58,8 @@ class Indexer {
   using DecodeFn = std::function<bool(uint64_t seqno, CommittedEntry* out)>;
 
   // Feeds entries (indexed_upto, commit_seqno] up to the budget, in
-  // order. Returns the number fed this tick.
+  // order. Returns the number fed this tick. With no strategy installed it
+  // decodes nothing and moves indexed_upto straight to commit_seqno.
   size_t Tick(uint64_t commit_seqno, const DecodeFn& decode);
 
   // Rollbacks only touch uncommitted seqnos, which the Indexer has never

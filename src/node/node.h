@@ -478,7 +478,7 @@ class Node : public consensus::RaftCallbacks {
     crypto::Sha256Digest write_set;
     crypto::Sha256Digest claims;
   };
-  std::vector<TxDigests> tx_digests_;
+  std::deque<TxDigests> tx_digests_;
   // Committed signature roots by seqno (receipt lookup).
   std::map<uint64_t, merkle::SignedRoot> signed_roots_;
 

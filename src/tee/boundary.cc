@@ -10,7 +10,12 @@ EnclaveBoundary::EnclaveBoundary(TeeMode mode, size_t buffer_capacity)
       enclave_to_host_(buffer_capacity) {
   if (mode_ == TeeMode::kSgxSim) {
     Bytes key(crypto::kAes256KeySize, 0x42);
-    seal_ = std::make_unique<crypto::AesGcm>(key);
+    // The portable kernel on purpose: this seal models the cost of SGX's
+    // memory encryption and enclave transitions (Table 5's SGX-vs-virtual
+    // gap). The AES-NI kernel would cut the modelled crossing about
+    // fourfold, which speeds up the model, not CCF.
+    seal_ = std::make_unique<crypto::AesGcm>(key,
+                                             crypto::AesKernel::kPortable);
   }
 }
 

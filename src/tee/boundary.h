@@ -8,7 +8,8 @@
 //     on one side and opened on the other. This is a *mechanistic* stand-in
 //     for SGX's memory-encryption/transition overhead — real work on the
 //     actual bytes, not a sleep — reproducing the SGX-vs-virtual gap of
-//     Table 5 in shape.
+//     Table 5 in shape. It always runs the portable AES-GCM kernel, so the
+//     modelled cost does not depend on the host CPU's AES instructions.
 
 #ifndef CCF_TEE_BOUNDARY_H_
 #define CCF_TEE_BOUNDARY_H_

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/smallbank.h"
 #include "common/hex.h"
 #include "merkle/receipt.h"
 #include "tests/service_harness.h"
@@ -225,6 +226,58 @@ TEST(AsyncIndexer, BackpressureBudgetAndCatchUp) {
   // The per-tick budget was respected throughout.
   EXPECT_LE(n0->indexer().stats().max_fed_per_tick, 2u);
   EXPECT_GE(n0->indexer().stats().entries_fed, 30u);
+  EXPECT_EQ(n0->indexer().stats().decode_failures, 0u);
+}
+
+// With no strategy installed the indexer keeps up with commit without
+// decoding a single entry (no host-ledger read, decrypt or parse).
+TEST(AsyncIndexer, NoStrategyDecodesNothing) {
+  indexing::Indexer indexer(/*entries_per_tick=*/2);
+  size_t decodes = 0;
+  auto decode = [&](uint64_t seqno, indexing::CommittedEntry* out) {
+    ++decodes;
+    out->seqno = seqno;
+    return true;
+  };
+  EXPECT_EQ(indexer.Tick(50, decode), 0u);
+  EXPECT_EQ(indexer.indexed_upto(), 50u);
+  EXPECT_EQ(indexer.Lag(50), 0u);
+  EXPECT_EQ(indexer.Tick(40, decode), 0u);  // commit never moves back
+  EXPECT_EQ(indexer.indexed_upto(), 50u);
+  EXPECT_EQ(decodes, 0u);
+  EXPECT_EQ(indexer.stats().entries_fed, 0u);
+  EXPECT_EQ(indexer.stats().ticks_with_work, 0u);
+
+  // A strategy installed later is fed from there on, under the budget.
+  struct Count : indexing::Strategy {
+    const char* name() const override { return "Count"; }
+    void OnCommittedEntry(uint64_t, uint64_t seqno,
+                          const kv::WriteSet&) override {
+      seqnos.push_back(seqno);
+    }
+    std::vector<uint64_t> seqnos;
+  };
+  auto count = std::make_shared<Count>();
+  indexer.Install(count);
+  EXPECT_EQ(indexer.Tick(53, decode), 2u);
+  EXPECT_EQ(indexer.Tick(53, decode), 1u);
+  EXPECT_EQ(count->seqnos, (std::vector<uint64_t>{51, 52, 53}));
+  EXPECT_EQ(decodes, 3u);
+  EXPECT_EQ(indexer.stats().entries_fed, 3u);
+}
+
+// A service whose application installs no strategy (SmallBank) keeps its
+// indexer at the commit point without feeding (or decoding) anything.
+TEST(AsyncIndexer, NoStrategyServiceKeepsUpWithoutFeeding) {
+  apps::SmallBankApp app;
+  ServiceHarness h;
+  node::Node* n0 = h.StartGenesis(true, &app);
+  ASSERT_NE(n0, nullptr);
+  ASSERT_EQ(n0->indexer().strategy_count(), 0u);
+  ASSERT_TRUE(h.env().RunUntil([&] { return n0->commit_seqno() > 0; }, 8000));
+  h.env().Step(5);
+  EXPECT_EQ(n0->indexer().indexed_upto(), n0->commit_seqno());
+  EXPECT_EQ(n0->indexer().stats().entries_fed, 0u);
   EXPECT_EQ(n0->indexer().stats().decode_failures, 0u);
 }
 
